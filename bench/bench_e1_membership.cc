@@ -7,8 +7,9 @@
 // compressed check wins by orders of magnitude (the paper's "sublinear data
 // complexity" regime, Section 1.3).
 //
-// Runs on the public facade: Engine::IsNonEmpty needs no per-document
-// preparation, so the measured cost is exactly the Theorem 5.1(1) pass.
+// Runs on the public facade: on a pair with no resident prepared state,
+// Engine::IsNonEmpty runs the Theorem 5.1(1) pass without preparing, so the
+// measured cost is exactly that pass.
 
 #include <cinttypes>
 

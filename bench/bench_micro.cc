@@ -101,7 +101,7 @@ BENCHMARK(BM_NormalizeAndDeterminize);
 void BM_EvalTablesBuild(benchmark::State& state) {
   Result<Spanner> sp = Spanner::Compile("(ab)*x{ab}(ab)*", "ab");
   SLPSPAN_CHECK(sp.ok());
-  const Nfa nfa = AppendSentinel(Determinize(sp->normalized()));
+  const Nfa nfa = AppendSentinel(Determinize(sp->normalized()).value());
   const Slp slp =
       SlpAppendSymbol(SlpRepeat("ab", uint64_t{1} << static_cast<uint32_t>(
                                           state.range(0))).value(),

@@ -155,6 +155,12 @@ class Document {
 
   explicit Document(Slp slp);
 
+  /// The prepared state for `query` if it is resident in RAM, else null.
+  /// Never builds, reads no disk and waits on no in-flight build; a hit is
+  /// counted like any cache hit (Engine::IsNonEmpty's fast path).
+  std::shared_ptr<const api_internal::PreparedState> ResidentPreparedFor(
+      const Query& query) const;
+
   const Slp slp_;
   const uint64_t id_;
   const std::shared_ptr<runtime_internal::DocCacheCounters> counters_;

@@ -2,7 +2,8 @@
 // paper's evaluation tasks, all amortized over the same per-document
 // preparation (cached inside the Document):
 //
-//   IsNonEmpty()  ⟦M⟧(D) ≠ ∅                Theorem 5.1(1)
+//   IsNonEmpty()  ⟦M⟧(D) ≠ ∅                Theorem 5.1(1), or F′ of the
+//                                           resident Lemma 6.5 tables
 //   Matches(t)    t ∈ ⟦M⟧(D)                Theorem 5.1(2)
 //   Extract()     stream ⟦M⟧(D)             Theorem 8.10 (constant delay)
 //   ExtractAll()  materialize ⟦M⟧(D)        Theorem 7.1
@@ -140,7 +141,10 @@ class Engine {
   /// by the first operation that needs it.
   Engine(Query query, DocumentPtr document);
 
-  /// ⟦M⟧(D) ≠ ∅ — O(|M| + size(S)·q³); needs no prepared state.
+  /// ⟦M⟧(D) ≠ ∅. O(q) when this pair's prepared state is resident in the
+  /// cache: some accepting j has R_S[start, j] ≠ ⊥ (the F′ that Theorem
+  /// 8.10 starts from). Otherwise O(|M| + size(S)·q³) by the Theorem 5.1(1)
+  /// membership pass, which prepares nothing and adds no cache entry.
   bool IsNonEmpty() const;
 
   /// t ∈ ⟦M⟧(D) — O((size(S) + |X|·depth(S))·q³). Fails with

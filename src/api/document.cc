@@ -161,6 +161,12 @@ Document::CacheStats Document::cache_stats() const {
                     c.bytes.load(std::memory_order_relaxed)};
 }
 
+std::shared_ptr<const api_internal::PreparedState>
+Document::ResidentPreparedFor(const Query& query) const {
+  return runtime_internal::PreparedCache::Global().Lookup(id_, query.id(),
+                                                          counters_);
+}
+
 std::shared_ptr<const api_internal::PreparedState> Document::PreparedFor(
     const Query& query, PrepareStats* stats) const {
   std::shared_ptr<const api_internal::PreparedState> state =

@@ -58,7 +58,14 @@ std::shared_ptr<const api_internal::PreparedState> Engine::Prepared() const {
 }
 
 bool Engine::IsNonEmpty() const {
-  return query_.state_->evaluator.CheckNonEmptiness(document_->slp());
+  const SpannerEvaluator& evaluator = query_.state_->evaluator;
+  // Resident Lemma 6.5 tables answer in O(q). Otherwise run the projected
+  // membership check rather than prepare: it builds no cache entry and its
+  // automaton is never determinized.
+  if (auto prep = document_->ResidentPreparedFor(query_)) {
+    return evaluator.CheckNonEmptiness(prep->prepared);
+  }
+  return evaluator.CheckNonEmptiness(document_->slp());
 }
 
 Result<bool> Engine::Matches(const SpanTuple& tuple) const {

@@ -31,18 +31,27 @@ Status SpannerEvaluator::Init(const Spanner& spanner) {
   nonempty_nfa_ = Normalize(ProjectMarkersToEps(norm));
   model_nfa_ = AppendSentinel(norm);
   Nfa eval = model_nfa_;
-  if (opts_.determinize) eval = Trim(Determinize(eval));
+  if (opts_.determinize) {
+    Result<Nfa> det = Determinize(eval);
+    if (!det.ok()) return det.status();
+    eval = Trim(*det);
+  }
   eval_nfa_ = std::move(eval);
-  if (eval_nfa_.NumStates() > 0xFFFF) {  // states packed in 16 bits
+  if (eval_nfa_.NumStates() > kMaxEvalStates) {
     return Status::NotSupported(
         "evaluation automaton has " + std::to_string(eval_nfa_.NumStates()) +
-        " states; the packed tables support at most 65535");
+        " states; the packed tables support at most " +
+        std::to_string(kMaxEvalStates));
   }
   return Status::OK();
 }
 
 bool SpannerEvaluator::CheckNonEmptiness(const Slp& slp) const {
   return CheckNonEmptinessProjected(slp, nonempty_nfa_);
+}
+
+bool SpannerEvaluator::CheckNonEmptiness(const PreparedDocument& prep) const {
+  return !prep.tables().AcceptingNonBot(prep.slp(), eval_nfa_).empty();
 }
 
 bool SpannerEvaluator::CheckModel(const Slp& slp, const SpanTuple& t) const {

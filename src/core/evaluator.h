@@ -82,6 +82,10 @@ class SpannerEvaluator {
   /// ⟦M⟧(D) ≠ ∅ — Theorem 5.1(1), O(|M| + size(S)·q³).
   bool CheckNonEmptiness(const Slp& slp) const;
 
+  /// ⟦M⟧(D) ≠ ∅ read off prepared tables — O(q): the paper's F′ (accepting
+  /// j with R_S[start, j] ≠ ⊥) is non-empty.
+  bool CheckNonEmptiness(const PreparedDocument& prep) const;
+
   /// t ∈ ⟦M⟧(D) — Theorem 5.1(2), O((size(S) + |X|·depth(S))·q³).
   bool CheckModel(const Slp& slp, const SpanTuple& t) const;
 

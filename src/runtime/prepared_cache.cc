@@ -86,12 +86,7 @@ PreparedCache::StatePtr PreparedCache::GetOrBuild(
     util::MutexLock lock(&shard.mu);
     for (;;) {
       auto it = shard.map.find(key);
-      if (it != shard.map.end()) {
-        shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        doc->hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second->state;
-      }
+      if (it != shard.map.end()) return HitLocked(shard, it->second, *doc);
 
       auto inflight_it = shard.inflight.find(key);
       if (inflight_it == shard.inflight.end()) break;  // we lead the build
@@ -170,6 +165,26 @@ PreparedCache::StatePtr PreparedCache::GetOrBuild(
 
   RecordQueryId(doc, query_id);
   return state;
+}
+
+PreparedCache::StatePtr PreparedCache::HitLocked(
+    Shard& shard, std::list<Entry>::iterator entry, DocCacheCounters& doc) {
+  shard.mu.AssertHeld();
+  shard.lru.splice(shard.lru.begin(), shard.lru, entry);
+  hits_.fetch_add(1, std::memory_order_relaxed);
+  doc.hits.fetch_add(1, std::memory_order_relaxed);
+  return entry->state;
+}
+
+PreparedCache::StatePtr PreparedCache::Lookup(
+    uint64_t doc_id, uint64_t query_id,
+    const std::shared_ptr<DocCacheCounters>& doc) {
+  const Key key{doc_id, query_id};
+  Shard& shard = ShardFor(key);
+  util::MutexLock lock(&shard.mu);
+  auto it = shard.map.find(key);
+  if (it == shard.map.end()) return nullptr;
+  return HitLocked(shard, it->second, *doc);
 }
 
 void PreparedCache::Insert(uint64_t doc_id, uint64_t query_id, uint64_t doc_fp,

@@ -103,6 +103,13 @@ class PreparedCache {
                       const std::shared_ptr<DocCacheCounters>& doc,
                       const Builder& build);
 
+  /// The resident state for (doc_id, query_id), or null. Never builds: a
+  /// RAM hit moves the entry to the LRU front and counts as a hit; anything
+  /// else — absent, spilled to disk only, or still being built by another
+  /// thread — returns null at once, counts nothing and reads no disk.
+  StatePtr Lookup(uint64_t doc_id, uint64_t query_id,
+                  const std::shared_ptr<DocCacheCounters>& doc);
+
   /// Inserts an externally loaded state (bundle import,
   /// Document::LoadPrepared). Counts as neither hit nor miss; an existing
   /// resident entry is kept. Subject to the same size-aware admission rule
@@ -195,6 +202,10 @@ class PreparedCache {
   uint64_t PerShardBudget() const {
     return budget_.load(std::memory_order_relaxed) / shards_.size();
   }
+
+  /// A RAM hit on `entry`: moves it to the LRU front and counts the hit.
+  StatePtr HitLocked(Shard& shard, std::list<Entry>::iterator entry,
+                     DocCacheCounters& doc) REQUIRES(shard.mu);
 
   /// Drops LRU-tail entries until `shard` fits its budget slice, moving the
   /// victims into `spill_candidates` for the caller to hand to the disk

@@ -135,7 +135,8 @@ Nfa Normalize(const Nfa& raw) {
 }
 
 Nfa Trim(const Nfa& nfa) {
-  SLPSPAN_CHECK(!nfa.HasEpsArcs());
+  // Contract: only normalized (eps-free) automata are trimmed.
+  SLPSPAN_CHECK(!nfa.HasEpsArcs());  // repo-lint: allow(check-in-library)
   const uint32_t n = nfa.NumStates();
 
   std::vector<bool> fwd(n, false);
@@ -203,7 +204,8 @@ Nfa Trim(const Nfa& nfa) {
 }
 
 Nfa AppendSentinel(const Nfa& nfa, SymbolId sentinel) {
-  SLPSPAN_CHECK(!nfa.HasEpsArcs());
+  // Contract: only normalized (eps-free) automata get the sentinel.
+  SLPSPAN_CHECK(!nfa.HasEpsArcs());  // repo-lint: allow(check-in-library)
   Nfa out;
   while (out.NumStates() < nfa.NumStates()) out.AddState();
   for (StateId s = 0; s < nfa.NumStates(); ++s) {
@@ -230,8 +232,9 @@ Nfa ProjectMarkersToEps(const Nfa& nfa) {
   return out;
 }
 
-Nfa Determinize(const Nfa& nfa, uint32_t max_states) {
-  SLPSPAN_CHECK(!nfa.HasEpsArcs());
+Result<Nfa> Determinize(const Nfa& nfa) {
+  // Contract: only normalized (eps-free) automata are determinized.
+  SLPSPAN_CHECK(!nfa.HasEpsArcs());  // repo-lint: allow(check-in-library)
   using Subset = std::vector<StateId>;
 
   struct SubsetHash {
@@ -252,7 +255,6 @@ Nfa Determinize(const Nfa& nfa, uint32_t max_states) {
     auto it = ids.find(s);
     if (it != ids.end()) return it->second;
     const StateId id = subsets.empty() ? 0 : out.AddState();
-    SLPSPAN_CHECK(out.NumStates() <= max_states);
     ids.emplace(s, id);
     subsets.push_back(std::move(s));
     return id;
@@ -260,6 +262,10 @@ Nfa Determinize(const Nfa& nfa, uint32_t max_states) {
 
   intern(Subset{0});
   for (StateId cur = 0; cur < subsets.size(); ++cur) {
+    if (subsets.size() > kMaxEvalStates) {
+      return Status::NotSupported("determinized automaton exceeds " +
+                                  std::to_string(kMaxEvalStates) + " states");
+    }
     // NOTE: `subsets` may grow; index access stays valid, references do not.
     const Subset members = subsets[cur];
     bool accepting = false;
@@ -299,7 +305,8 @@ bool AcceptsSymbols(const Nfa& nfa, const std::vector<SymbolId>& word,
   for (SymbolId sym : word) {
     std::set<StateId> next;
     if (SymbolTable::IsMaskSymbol(sym)) {
-      SLPSPAN_CHECK(table != nullptr);
+      // Contract: a word holding mask symbols comes with its symbol table.
+      SLPSPAN_CHECK(table != nullptr);  // repo-lint: allow(check-in-library)
       const MarkerMask mask = table->MaskOf(sym);
       for (StateId s : cur) {
         for (const auto& a : nfa.MarkArcsFrom(s)) {

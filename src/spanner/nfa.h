@@ -113,10 +113,15 @@ Nfa AppendSentinel(const Nfa& nfa, SymbolId sentinel = kSentinelSymbol);
 /// markers — used by the non-emptiness check, Theorem 5.1(1)).
 Nfa ProjectMarkersToEps(const Nfa& nfa);
 
+/// Most states an evaluation automaton may have: the Lemma 6.5 and counting
+/// tables pack state ids into 16 bits.
+constexpr uint32_t kMaxEvalStates = 0xFFFF;
+
 /// Subset construction. Input must be eps-free; output is deterministic over
-/// the symbols/masks that actually occur. `max_states` guards against
-/// exponential blow-up (CHECK).
-Nfa Determinize(const Nfa& nfa, uint32_t max_states = 1u << 20);
+/// the symbols/masks that actually occur. Fails with kNotSupported as soon
+/// as the construction passes kMaxEvalStates subset states, so an
+/// exponential blow-up costs at most that many.
+Result<Nfa> Determinize(const Nfa& nfa);
 
 /// Simulates `nfa` (may contain eps arcs) on a symbol sequence that may
 /// contain interned mask symbols; `table` decodes them (may be null if the

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "slpspan/reference.h"
@@ -32,6 +33,37 @@ std::vector<SpanTuple> DrainStream(const Engine& engine) {
   return out;
 }
 
+/// Answers ⟦M⟧(D) ≠ ∅ three ways and checks each against `expected`: cold
+/// (`doc` holds no prepared state for `query`: Theorem 5.1 membership, which
+/// must leave the cache untouched), with the Lemma 6.5 tables resident after
+/// PreparedFor, and with them resident in a fresh Document after a
+/// SavePrepared/LoadPrepared round trip. The hit counter tells which path
+/// answered.
+void ExpectNonEmptinessOnEveryPath(const Query& query, const DocumentPtr& doc,
+                                   bool expected) {
+  const Document::CacheStats before = doc->cache_stats();
+  EXPECT_EQ(expected, Engine(query, doc).IsNonEmpty()) << "cold";
+  const Document::CacheStats cold = doc->cache_stats();
+  EXPECT_EQ(before.misses, cold.misses) << "a cold check must not prepare";
+  EXPECT_EQ(before.entries, cold.entries) << "a cold check adds no entry";
+  EXPECT_EQ(before.hits, cold.hits) << "the pair was not resident";
+
+  (void)doc->PreparedFor(query);
+  const uint64_t hits = doc->cache_stats().hits;
+  EXPECT_EQ(expected, Engine(query, doc).IsNonEmpty()) << "resident";
+  EXPECT_EQ(hits + 1, doc->cache_stats().hits) << "answered from the tables";
+
+  const std::string path = ::testing::TempDir() + "/slpspan_nonempty.prep";
+  ASSERT_TRUE(doc->SavePrepared(query, path).ok());
+  const DocumentPtr reloaded = Document::FromSlp(doc->slp());
+  ASSERT_TRUE(reloaded->LoadPrepared(query, path).ok());
+  std::remove(path.c_str());
+  EXPECT_EQ(expected, Engine(query, reloaded).IsNonEmpty()) << "loaded";
+  const Document::CacheStats loaded = reloaded->cache_stats();
+  EXPECT_EQ(1u, loaded.hits) << "answered from the loaded tables";
+  EXPECT_EQ(0u, loaded.misses);
+}
+
 TEST(Integration, LogPipelineExtractErrorActions) {
   const std::string log = GenerateLog({.lines = 120, .distinct_users = 4, .seed = 21});
   const std::string pattern = ".*user=x{u[0-9]+} action=y{[A-Z]+} status=500\n.*";
@@ -48,11 +80,59 @@ TEST(Integration, LogPipelineExtractErrorActions) {
     Result<DocumentPtr> doc = Document::FromText(log, method);
     ASSERT_TRUE(doc.ok());
     ASSERT_EQ((*doc)->slp().ExpandToString(), log);
+    ExpectNonEmptinessOnEveryPath(*query, *doc, !expected.empty());
     const Engine engine(*query, *doc);
     ExpectSameTupleSet(expected, engine.ExtractAll());
     ExpectSameTupleSet(expected, DrainStream(engine));
-    EXPECT_EQ(engine.IsNonEmpty(), !expected.empty());
   }
+}
+
+// IsNonEmpty answers from resident tables when it can and by membership
+// otherwise; every path must agree with the uncompressed reference, for
+// determinized, non-determinized and rebalancing queries alike, on matching
+// and non-matching pairs.
+TEST(Integration, NonEmptinessAgreesOnEveryPath) {
+  const std::string log =
+      GenerateLog({.lines = 120, .distinct_users = 4, .seed = 21});
+  struct Case {
+    std::string text, pattern, alphabet;
+  };
+  const std::vector<Case> cases = {
+      {log, ".*user=x{u[0-9]+} action=y{[A-Z]+} status=500\n.*",
+       FullAsciiAlphabet()},
+      {log, ".*status=x{999}.*", FullAsciiAlphabet()},
+      {"abccaabcca", ".*x{a}y{b?cc*}.*", "abc"},
+      {"bcbcbcabc", "(b|c)*x{a}.*y{cc*}.*", "abc"},
+      {"ccbbccbbccbb", ".*x{a}.*", "abc"},
+      {"aabbaabbaabb", "x{b}", "abc"},
+      {GenerateRepeated("abbcab", 40) + "cc", ".*x{ca}y{b+}.*", "abc"},
+      {GenerateRepeated("abbcab", 40) + "cc", ".*x{cc}y{a}.*", "abc"},
+  };
+  const QueryOptions option_sets[] = {
+      {}, {.determinize = false}, {.rebalance = true}};
+  int nonempty_cases = 0;
+  for (const Case& c : cases) {
+    Result<Spanner> sp = Spanner::Compile(c.pattern, c.alphabet);
+    ASSERT_TRUE(sp.ok()) << c.pattern;
+    const bool expected = RefEvaluator(*sp).CheckNonEmptiness(c.text);
+    nonempty_cases += expected ? 1 : 0;
+    for (const QueryOptions& opts : option_sets) {
+      Result<Query> query = Query::Compile(c.pattern, c.alphabet, opts);
+      ASSERT_TRUE(query.ok()) << c.pattern;
+      for (Compression method :
+           {Compression::kRePair, Compression::kLz78, Compression::kBalanced}) {
+        Result<DocumentPtr> doc = Document::FromText(c.text, method);
+        ASSERT_TRUE(doc.ok());
+        SCOPED_TRACE(c.pattern + " determinize=" +
+                     std::to_string(opts.determinize) +
+                     " rebalance=" + std::to_string(opts.rebalance));
+        ExpectNonEmptinessOnEveryPath(*query, *doc, expected);
+      }
+    }
+  }
+  // Both answers must be represented for the comparison to mean anything.
+  EXPECT_GT(nonempty_cases, 0);
+  EXPECT_LT(nonempty_cases, static_cast<int>(cases.size()));
 }
 
 TEST(Integration, DnaMotifContextExtraction) {
@@ -155,8 +235,8 @@ TEST(Integration, MixedTasksOnOneDocument) {
   const DocumentPtr doc =
       Document::FromSlp(Rebalance((*Document::FromText(text))->slp()));
 
+  ExpectNonEmptinessOnEveryPath(*query, doc, ref.CheckNonEmptiness(text));
   const Engine engine(*query, doc);
-  ASSERT_EQ(engine.IsNonEmpty(), ref.CheckNonEmptiness(text));
   const std::vector<SpanTuple> expected = ref.ComputeAll(text);
   ExpectSameTupleSet(expected, engine.ExtractAll());
   ExpectSameTupleSet(expected, DrainStream(engine));

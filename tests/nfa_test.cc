@@ -151,7 +151,7 @@ TEST(ProjectMarkersToEps, ErasesMarkerContent) {
 TEST(Determinize, EquivalentOnSampleWords) {
   const Spanner sp = testing_util::MakeFigure2Spanner();
   const Nfa& norm = sp.normalized();
-  const Nfa det = Determinize(norm);
+  const Nfa det = Determinize(norm).value();
   EXPECT_TRUE(det.IsDeterministic());
 
   SymbolTable table;
@@ -191,7 +191,7 @@ TEST(Determinize, CollapsesNondeterminism) {
   nfa.SetAccepting(s1);
   nfa.SetAccepting(s2);
   EXPECT_FALSE(nfa.IsDeterministic());
-  const Nfa det = Determinize(nfa);
+  const Nfa det = Determinize(nfa).value();
   EXPECT_TRUE(det.IsDeterministic());
   EXPECT_TRUE(AcceptsSymbols(det, {'a'}, nullptr));
   EXPECT_TRUE(AcceptsSymbols(det, {'a', 'b'}, nullptr));

@@ -7,6 +7,7 @@
 #include "gtest/gtest.h"
 #include "core/evaluator.h"
 #include "slpspan/document.h"
+#include "slpspan/query.h"
 #include "slp/factory.h"
 #include "slp/lz77.h"
 #include "slp/lz78.h"
@@ -148,6 +149,20 @@ TEST(Robustness, ThirtyThreeVariablesRejected) {
   Result<Spanner> sp = Spanner::Compile(pattern, "a");
   ASSERT_FALSE(sp.ok());
   EXPECT_EQ(sp.status().code(), StatusCode::kNotSupported);
+}
+
+// "the 21st symbol from the end of x is an a": determinizing it needs 2^21
+// subset states. Compilation used to abort inside the subset construction;
+// it must stop at the packed-table cap and fail with a Status.
+TEST(Robustness, DeterminizationBlowUpRejected) {
+  std::string pattern = "x{(a|b)*a";
+  for (int g = 0; g < 20; ++g) pattern += "(a|b)";
+  pattern += "}";
+  Result<Query> query = Query::Compile(pattern, "ab");
+  ASSERT_FALSE(query.ok());
+  EXPECT_EQ(query.status().code(), StatusCode::kNotSupported);
+  // Without determinization the automaton stays linear in the pattern.
+  EXPECT_TRUE(Query::Compile(pattern, "ab", {.determinize = false}).ok());
 }
 
 TEST(Robustness, VeryDeepGrammarsDoNotOverflowTheStack) {

@@ -1,21 +1,28 @@
 // Tests for the runtime layer (slpspan/runtime.h): the process-wide sharded
-// byte-budgeted prepared-state cache (single-flight coalescing, eviction,
-// per-document and global stats) and Session::EvalBatch (request dedup,
+// byte-budgeted prepared-state cache (single-flight coalescing, the
+// never-building resident lookup, eviction, per-document and global stats)
+// and Session::EvalBatch (request dedup,
 // per-request Results, correctness vs the serial loop), plus the
 // Document::FromFile read path.
 
 #include "slpspan/slpspan.h"
 
+#include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <latch>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "api/internal.h"
 #include "core/bool_matrix.h"
 #include "gtest/gtest.h"
+#include "runtime/prepared_cache.h"
+#include "slp/factory.h"
 #include "slpspan/textgen.h"
+#include "util/thread_pool.h"
 #include "test_util.h"
 
 namespace slpspan {
@@ -76,6 +83,80 @@ TEST(RuntimeCache, SingleFlightCoalescesConcurrentBuilds) {
   EXPECT_EQ(kThreads - 1u, stats.hits);
   EXPECT_EQ(1u, stats.entries);
   EXPECT_GT(stats.bytes, 0u);
+}
+
+// ------------------------------------------------------- resident lookup ----
+
+using runtime_internal::DocCacheCounters;
+using runtime_internal::PreparedCache;
+
+/// A small prepared state to park under arbitrary keys of a private cache.
+PreparedCache::StatePtr SmallPreparedState() {
+  Result<Spanner> spanner = Spanner::Compile(".*x{ab}.*", "ab");
+  SLPSPAN_CHECK(spanner.ok());
+  const SpannerEvaluator evaluator(*spanner);
+  return std::make_shared<const api_internal::PreparedState>(
+      evaluator.Prepare(SlpFromString("abaabb").value()));
+}
+
+TEST(RuntimeCache, LookupMissReturnsNullAndCountsNothing) {
+  PreparedCache cache(uint64_t{1} << 30, /*shards=*/1);
+  const auto doc = std::make_shared<DocCacheCounters>();
+  const PreparedCache::StatePtr state = SmallPreparedState();
+
+  EXPECT_EQ(nullptr, cache.Lookup(1, 1, doc));
+  Runtime::CacheStats stats = cache.Stats();
+  EXPECT_EQ(0u, stats.hits);
+  EXPECT_EQ(0u, stats.misses);
+  EXPECT_EQ(0u, stats.entries);
+  EXPECT_EQ(0u, doc->hits.load());
+  EXPECT_EQ(0u, doc->misses.load());
+
+  // A build in flight on another thread is not waited for. The builder
+  // gives up after 10 s, so a Lookup that blocked on it would see the state
+  // land and fail below instead of hanging the suite.
+  std::latch building(1);
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::thread leader([&] {
+    (void)cache.GetOrBuild(1, 1, 0, 0, doc, [&] {
+      building.count_down();
+      released.wait_for(std::chrono::seconds(10));
+      return state;
+    });
+  });
+  building.wait();
+  EXPECT_EQ(nullptr, cache.Lookup(1, 1, doc)) << "must not wait on a build";
+  release.set_value();
+  leader.join();
+  stats = cache.Stats();
+  EXPECT_EQ(0u, stats.hits);
+  EXPECT_EQ(1u, stats.misses) << "only the builder's own miss";
+  EXPECT_EQ(1u, doc->misses.load());
+
+  EXPECT_EQ(state, cache.Lookup(1, 1, doc));
+  EXPECT_EQ(1u, cache.Stats().hits);
+  EXPECT_EQ(1u, doc->hits.load());
+}
+
+TEST(RuntimeCache, LookupHitRefreshesLruPosition) {
+  const PreparedCache::StatePtr state = SmallPreparedState();
+  const uint64_t bytes = state->MemoryUsage();
+  // One shard holding two entries: the third insert evicts the LRU tail.
+  PreparedCache cache(2 * bytes + bytes / 2, /*shards=*/1);
+  const auto doc = std::make_shared<DocCacheCounters>();
+  const auto build = [&] { return state; };
+
+  (void)cache.GetOrBuild(1, 1, 0, 0, doc, build);
+  (void)cache.GetOrBuild(1, 2, 0, 0, doc, build);  // LRU order: 2, 1
+  ASSERT_EQ(state, cache.Lookup(1, 1, doc));        // LRU order: 1, 2
+  EXPECT_EQ(1u, cache.Stats().hits);
+  EXPECT_EQ(1u, doc->hits.load());
+
+  (void)cache.GetOrBuild(1, 3, 0, 0, doc, build);
+  EXPECT_EQ(1u, cache.Stats().evictions);
+  EXPECT_EQ(nullptr, cache.Lookup(1, 2, doc)) << "the colder entry goes";
+  EXPECT_EQ(state, cache.Lookup(1, 1, doc)) << "the looked-up entry stays";
 }
 
 // ------------------------------------------------------------- EvalBatch ----

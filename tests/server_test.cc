@@ -154,6 +154,16 @@ TEST(ServerTest, RequestErrorsKeepConnectionUsable) {
   ASSERT_TRUE(badpat.ok());
   EXPECT_FALSE(badpat->ok());
 
+  // A pattern whose determinization blows past the 16-bit state cap: the
+  // compile used to abort the whole server; now it is a kNotSupported done.
+  std::string blowup = "x{(a|b)*a";
+  for (int g = 0; g < 20; ++g) blowup += "(a|b)";
+  blowup += "}";
+  Result<CallResult> toobig = client.Call(WireOp::kCount, "corpus", blowup);
+  ASSERT_TRUE(toobig.ok()) << toobig.status().message();
+  EXPECT_FALSE(toobig->ok());
+  EXPECT_EQ(static_cast<uint8_t>(StatusCode::kNotSupported), toobig->code);
+
   // The same connection still serves good requests afterwards.
   Result<CallResult> good = client.Call(WireOp::kCount, "corpus", ".*x{ab}.*");
   ASSERT_TRUE(good.ok());

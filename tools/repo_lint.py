@@ -10,8 +10,9 @@ Rules
 check-in-library
     SLPSPAN_CHECK / SLPSPAN_DCHECK / abort() must not appear in library
     code reachable from user input through the public API (src/api/,
-    src/storage/, the regex parser+compiler, the SLP serializer and the
-    content-dependent SLP factories). Failures on those paths must travel
+    src/storage/, src/corpus/, src/net/, the regex parser+compiler, the
+    automaton constructions in src/spanner/nfa.cc, the SLP serializer and
+    the content-dependent SLP factories). Failures on those paths must travel
     as Status/Result values — a malformed document or pattern must never
     abort the host process. Contract checks for *programmer* misuse
     (e.g. advancing an exhausted iterator) may stay, marked with an
@@ -96,6 +97,8 @@ USER_INPUT_REACHABLE = [
     "src/api/",
     "src/storage/",
     "src/corpus/",
+    "src/net/",
+    "src/spanner/nfa.cc",
     "src/spanner/regex_parser",
     "src/spanner/regex_compile",
     "src/slp/serialize",
