@@ -1,22 +1,18 @@
-// Experiment E17 — what the bundle codec layer buys on disk.
+// Experiment E17 — what a .prep bundle costs on disk.
 //
 // Over the E11 storage workloads (log 1k / log 16k / dna 256k), export the
-// prepared state under the legacy v1 format and under format v2 with each
-// codec preference, and compare bundle sizes. The acceptance bar, asserted
-// by exit code:
+// prepared state with the one bundle writer (format v2, bitpacked integer
+// streams) and report its size and disk-warm load time. The acceptance
+// bar, asserted by exit code:
 //
-//   (a) corpus-wide, sum(v1 bytes) / sum(auto bytes) >= 1.5x — the
-//       tentpole compression claim;
-//   (b) the default (kAuto) is never larger than any fixed codec choice
-//       (it picks the smallest eligible encoding per stream);
-//   (c) every bundle, under every codec, loads back and answers Count
-//       identically to the in-memory preparation — compression never
-//       trades away correctness.
+//   (a) each bundle is at most its recorded size — 41 896, 587 974 and
+//       346 683 bytes, what bitpacking wrote when it was still one choice
+//       among several stream codecs — so the encoding never grows;
+//   (b) every bundle loads back and answers Count identically to the
+//       in-memory preparation — compression never trades away correctness.
 //
-// Also reports disk-warm load time per codec so the E11 ≥10× disk-warm
-// story can be sanity-checked against the decode cost (v2 decoding is
-// sequential stream work over fewer bytes; E11 itself still enforces its
-// bar on the default path).
+// The load time lets the E11 ≥10× disk-warm story be sanity-checked
+// against the decode cost; E11 itself enforces that bar.
 //
 // Emits one JSON document ("JSON: " line and --json=PATH) extending the
 // BENCH_*.json trajectory.
@@ -43,42 +39,32 @@ std::string TempDir() {
   return dir;
 }
 
-struct CodecChoice {
-  const char* name;
-  BundleCodec codec;
-};
-
-constexpr CodecChoice kChoices[] = {
-    {"v1", BundleCodec::kV1},           {"raw", BundleCodec::kRaw},
-    {"varintgb", BundleCodec::kVarintGB}, {"bitpack", BundleCodec::kBitPack},
-    {"eliasfano", BundleCodec::kEliasFano}, {"auto", BundleCodec::kAuto}};
-
-bool CodecSweep(const std::string& dir, bench::Json* json) {
-  bench::Table table("E17: bundle bytes per codec (v1 = legacy format)",
-                     {"workload", "v1 (KiB)", "raw", "varintgb", "bitpack",
-                      "eliasfano", "auto", "v1/auto", "t_load auto (us)"});
+bool BundleSizes(const std::string& dir, bench::Json* json) {
+  bench::Table table("E17: bundle bytes per workload",
+                     {"workload", "bytes", "bound", "KiB", "t_load (us)"});
 
   struct Workload {
     const char* name;
     std::string text;
     const char* pattern;
     std::string alphabet;
+    uint64_t max_bytes;
   };
   std::string ascii;
   for (char c = 32; c < 127; ++c) ascii += c;
   ascii += '\n';
   const Workload workloads[] = {
       {"log 1k lines", GenerateLog({.lines = 1000, .seed = 5}),
-       ".*user=x{u[0-9]+}.*", ascii},
+       ".*user=x{u[0-9]+}.*", ascii, 41896},
       {"log 16k lines", GenerateLog({.lines = 16000, .seed = 6}),
-       ".*user=x{u[0-9]+}.*", ascii},
+       ".*user=x{u[0-9]+}.*", ascii, 587974},
       {"dna 256k",
        GenerateDna({.length = 1 << 18, .motif_rate = 0.001, .seed = 7}),
-       ".*x{ACGTACGT}.*", "ACGT"},
+       ".*x{ACGTACGT}.*", "ACGT", 346683},
   };
 
   bool ok = true;
-  uint64_t sum_v1 = 0, sum_auto = 0;
+  uint64_t sum_bytes = 0;
   std::vector<std::string> rows;
   int wi = 0;
   for (const Workload& w : workloads) {
@@ -88,79 +74,48 @@ bool CodecSweep(const std::string& dir, bench::Json* json) {
     const DocumentPtr doc = *Document::FromText(w.text);
     const uint64_t expected = Engine(*query, doc).Count()->value;
 
-    uint64_t bytes[std::size(kChoices)] = {};
-    double t_load_auto = 0;
-    for (size_t c = 0; c < std::size(kChoices); ++c) {
-      const std::string path = dir + "/w" + std::to_string(wi) + "_" +
-                               kChoices[c].name + ".prep";
-      SLPSPAN_CHECK(
-          doc->SavePrepared(*query, path, nullptr, kChoices[c].codec).ok());
-      bytes[c] = std::filesystem::file_size(path);
-
-      // (c) correctness under every codec: load into a fresh wrapper and
-      // re-answer Count.
-      const DocumentPtr warm = Document::FromSlp(doc->slp());
-      const double t_load = bench::TimeSeconds([&] {
-        const DocumentPtr fresh = Document::FromSlp(doc->slp());
-        SLPSPAN_CHECK(fresh->LoadPrepared(*query, path).ok());
-        SLPSPAN_CHECK(Engine(*query, fresh).Count().ok());
-      });
-      SLPSPAN_CHECK(warm->LoadPrepared(*query, path).ok());
-      if (Engine(*query, warm).Count()->value != expected) {
-        std::fprintf(stderr, "E17 FAIL: %s/%s loads a wrong count\n", w.name,
-                     kChoices[c].name);
-        ok = false;
-      }
-      if (kChoices[c].codec == BundleCodec::kAuto) t_load_auto = t_load;
+    const std::string path = dir + "/w" + std::to_string(wi) + ".prep";
+    SLPSPAN_CHECK(doc->SavePrepared(*query, path).ok());
+    const uint64_t bytes = std::filesystem::file_size(path);
+    sum_bytes += bytes;
+    // (a) the size bound.
+    if (bytes > w.max_bytes) {
+      std::fprintf(stderr, "E17 FAIL: %s bundle is %llu B > %llu B\n",
+                   w.name, static_cast<unsigned long long>(bytes),
+                   static_cast<unsigned long long>(w.max_bytes));
+      ok = false;
     }
 
-    const uint64_t v1 = bytes[0], auto_bytes = bytes[std::size(kChoices) - 1];
-    sum_v1 += v1;
-    sum_auto += auto_bytes;
-    // (b) auto is the per-stream minimum; no fixed choice may beat it.
-    for (size_t c = 0; c < std::size(kChoices); ++c) {
-      if (auto_bytes > bytes[c]) {
-        std::fprintf(stderr, "E17 FAIL: %s auto (%llu B) > %s (%llu B)\n",
-                     w.name, static_cast<unsigned long long>(auto_bytes),
-                     kChoices[c].name,
-                     static_cast<unsigned long long>(bytes[c]));
-        ok = false;
-      }
+    // (b) correctness: load into a fresh wrapper and re-answer Count.
+    const double t_load = bench::TimeSeconds([&] {
+      const DocumentPtr fresh = Document::FromSlp(doc->slp());
+      SLPSPAN_CHECK(fresh->LoadPrepared(*query, path).ok());
+      SLPSPAN_CHECK(Engine(*query, fresh).Count().ok());
+    });
+    const DocumentPtr warm = Document::FromSlp(doc->slp());
+    SLPSPAN_CHECK(warm->LoadPrepared(*query, path).ok());
+    if (Engine(*query, warm).Count()->value != expected) {
+      std::fprintf(stderr, "E17 FAIL: %s loads a wrong count\n", w.name);
+      ok = false;
     }
 
-    table.AddRow(
-        {w.name, bench::FmtDouble(static_cast<double>(v1) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[1]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[2]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[3]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(bytes[4]) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(auto_bytes) / 1024, 1),
-         bench::FmtDouble(static_cast<double>(v1) / auto_bytes, 2),
-         bench::FmtMicros(t_load_auto)});
+    table.AddRow({w.name, std::to_string(bytes), std::to_string(w.max_bytes),
+                  bench::FmtDouble(static_cast<double>(bytes) / 1024, 1),
+                  bench::FmtMicros(t_load)});
     bench::Json row;
     row.Put("workload", std::string(w.name));
-    for (size_t c = 0; c < std::size(kChoices); ++c) {
-      row.Put(std::string("bytes_") + kChoices[c].name, bytes[c]);
-    }
-    row.Put("t_load_auto_us", t_load_auto * 1e6);
+    row.Put("bytes", bytes);
+    row.Put("max_bytes", w.max_bytes);
+    row.Put("t_load_us", t_load * 1e6);
     rows.push_back(row.Str());
   }
   table.Print();
 
-  const double ratio = static_cast<double>(sum_v1) / sum_auto;
-  std::printf("\nE17 corpus compression: %llu -> %llu bytes (%.2fx)\n",
-              static_cast<unsigned long long>(sum_v1),
-              static_cast<unsigned long long>(sum_auto), ratio);
-  // (a) the tentpole bar.
-  if (ratio < 1.5) {
-    std::fprintf(stderr, "E17 FAIL: corpus ratio %.2fx < 1.5x bar\n", ratio);
-    ok = false;
-  }
-  json->PutRaw("e17_codecs", bench::Json::Array(rows));
-  json->Put("e17_sum_v1_bytes", sum_v1);
-  json->Put("e17_sum_auto_bytes", sum_auto);
-  json->Put("e17_corpus_ratio", ratio);
-  json->Put("e17_ratio_15x", std::string(ratio >= 1.5 ? "true" : "false"));
+  std::printf("\nE17 corpus: %llu bundle bytes\n",
+              static_cast<unsigned long long>(sum_bytes));
+  json->PutRaw("e17_bundles", bench::Json::Array(rows));
+  json->Put("e17_sum_bytes", sum_bytes);
+  json->Put("e17_pass", std::string(ok ? "true" : "false"));
   return ok;
 }
 
@@ -176,7 +131,7 @@ int main(int argc, char** argv) {
   const std::string dir = slpspan::TempDir();
   slpspan::bench::Json json;
   json.Put("bench", std::string("e17_codecs"));
-  const bool ok = slpspan::CodecSweep(dir, &json);
+  const bool ok = slpspan::BundleSizes(dir, &json);
   std::filesystem::remove_all(dir);
 
   const std::string out = json.Str();

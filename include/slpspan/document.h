@@ -27,7 +27,6 @@
 #include <string_view>
 
 #include "slp/slp.h"
-#include "slpspan/bundle_codec.h"
 #include "slpspan/prepare.h"
 #include "slpspan/query.h"
 #include "slpspan/status.h"
@@ -84,19 +83,18 @@ class Document {
   /// cache to retain (the built state is serialized directly); `stats`,
   /// when non-null, receives the PrepareStats of the build the bundle was
   /// serialized from (see PreparedFor for the loaded/cached semantics).
-  /// `codec` selects the bundle's section encoding (slpspan/bundle_codec.h):
-  /// the default kAuto picks the smallest codec per stream; kV1 writes the
-  /// legacy uncompressed format.
+  /// Always writes bundle format v2 with bitpacked integer streams
+  /// (docs/STORAGE_CODECS.md); LoadPrepared also reads the older format v1.
   Status SavePrepared(const Query& query, const std::string& path,
-                      PrepareStats* stats = nullptr,
-                      BundleCodec codec = BundleCodec::kAuto) const;
+                      PrepareStats* stats = nullptr) const;
 
   /// Imports a bundle written by SavePrepared into the process-wide cache,
   /// so the first Engine operation on (this document, `query`) skips
   /// preparation entirely. The bundle must match both sides: fails with
   /// kInvalidArgument on a document/query fingerprint mismatch and with
-  /// kCorruption on a damaged, truncated or wrong-version file — never by
-  /// crashing.
+  /// kCorruption on a damaged, truncated or wrong-version file (including
+  /// a v2 bundle an older build wrote with a since-retired stream codec) —
+  /// never by crashing.
   Status LoadPrepared(const Query& query, const std::string& path) const;
 
   /// Evicts this Document's entries from the process-wide prepared-state

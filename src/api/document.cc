@@ -130,7 +130,7 @@ uint64_t Document::fingerprint() const {
 }
 
 Status Document::SavePrepared(const Query& query, const std::string& path,
-                              PrepareStats* stats, BundleCodec codec) const {
+                              PrepareStats* stats) const {
   std::shared_ptr<const api_internal::PreparedState> state =
       PreparedFor(query, stats);
   if (query.options().determinize) {
@@ -139,7 +139,7 @@ Status Document::SavePrepared(const Query& query, const std::string& path,
     (void)state->Counter(query.state_->evaluator);
   }
   return storage::WritePreparedBundleFile(path, *state, fingerprint(),
-                                          query.fingerprint(), codec);
+                                          query.fingerprint());
 }
 
 Status Document::LoadPrepared(const Query& query, const std::string& path) const {

@@ -51,11 +51,11 @@ uint64_t Checksum64(const uint8_t* data, size_t size) {
   return h;
 }
 
-std::string SealBundle(uint32_t version, uint32_t flags, uint64_t doc_fp,
-                       uint64_t query_fp, std::string payload) {
+std::string SealBundle(uint32_t flags, uint64_t doc_fp, uint64_t query_fp,
+                       std::string payload) {
   BundleWriter header;
   header.Bytes(kBundleMagic, sizeof(kBundleMagic));
-  header.U32(version);
+  header.U32(kBundleVersion);
   header.U32(flags);
   header.U64(doc_fp);
   header.U64(query_fp);

@@ -4,7 +4,7 @@
 // Layout (all integers little-endian, fixed width):
 //
 //   magic      8   "SLPPREP\n"
-//   version    u32 (1 or 2; kBundleVersion is what new bundles write)
+//   version    u32 (1 or 2; only kBundleVersion is written, v1 is read-only)
 //   flags      u32 (bit 0: counter section present)
 //   doc_fp     u64 fingerprint of the *base* document grammar
 //   query_fp   u64 fingerprint of the compiled query
@@ -13,9 +13,9 @@
 //   <payload>      sections: grammar, eval tables, optional counter
 //
 // Version 2 keeps the header identical and changes only the payload
-// sections: integer streams carry a per-section codec tag (see
+// sections: integer streams are tagged, bitpacked streams (see
 // src/storage/codec/codec.h and docs/STORAGE_CODECS.md). Version 1
-// bundles remain readable byte-for-byte.
+// bundles remain readable; no writer produces them any more.
 //
 // Readers are strictly bounds-checked: every primitive read validates the
 // remaining length first, so truncated or corrupt input surfaces as a
@@ -160,12 +160,10 @@ struct BundleHeader {
   uint64_t payload_size = 0;
 };
 
-/// Prepends a header (with the payload's size and CRC filled in) to
-/// `payload` and returns the complete bundle image. `version` must be a
-/// version the reader accepts (kBundleVersionV1 or kBundleVersion) and
-/// must match the section layout the payload was written in.
-std::string SealBundle(uint32_t version, uint32_t flags, uint64_t doc_fp,
-                       uint64_t query_fp, std::string payload);
+/// Prepends a kBundleVersion header (with the payload's size and checksum
+/// filled in) to a v2 `payload` and returns the complete bundle image.
+std::string SealBundle(uint32_t flags, uint64_t doc_fp, uint64_t query_fp,
+                       std::string payload);
 
 /// Validates magic, version (1 and 2 are accepted), payload bounds and CRC
 /// of a complete bundle image; on success the payload spans

@@ -1,30 +1,21 @@
-// Integer codecs for the ".prep" bundle format v2 — the one layer allowed
-// to turn a section's uint64 stream into bytes and back.
+// The integer-stream encoding of the ".prep" bundle format v2 — the one
+// layer allowed to turn a section's uint64 stream into bytes and back.
 //
 // Every v2 section that carries an integer stream writes it as a *tagged
-// stream*: one CodecId byte followed by that codec's encoding of `count`
-// values, where `count` is always known to the reader from surrounding
-// section data (never trusted from the stream itself). Four codecs:
+// stream*: one tag byte (always kBitPackTag) followed by the values in
+// blocks of 128, each block a width byte (the block's max bit width, 0..64)
+// and then its values packed LSB-first at that width (SIMD-BP128 layout).
+// `count` is always known to the reader from surrounding section data and
+// is never stored in the stream itself.
 //
-//   kRaw       count fixed-width little-endian u64 words (the v1 shape).
-//   kVarintGB  groups of four values behind a 2-bit-per-value length tag
-//              (byte lengths 1/2/4/8) — group-varint adapted to u64, for
-//              the counter section's small key deltas and counts.
-//   kBitPack   blocks of 128 values packed LSB-first at the block's max
-//              bit width (SIMD-BP128 style; one width byte per block).
-//              Unpacking dispatches to a scalar or AVX2 translation unit
-//              following the src/core/kernels/ pattern.
-//   kEliasFano monotone non-decreasing streams only (sparse-matrix and
-//              sparse-grid positions): packed low bits plus a unary
-//              high-bits bitvector, ~2 + log2(universe/count) bits/value.
-//
-// Decoders are strictly bounds-checked, mirroring bundle_format.h: every
-// length implied by the input is validated against the reader's remaining
-// bytes *before* any allocation is sized from it, so truncated, corrupt or
-// adversarial input surfaces as Status (kCorruption) — never a crash, hang
-// or out-of-bounds access. Encoded bytes round-trip bit-identically
-// (property-tested in tests/codec_test.cc, fuzzed against garbage there
-// too).
+// The tag byte is kept so that files written by older builds, whose
+// streams could carry the retired tags 0, 1 and 3, are recognised and
+// rejected. The decoder is strictly bounds-checked, mirroring
+// bundle_format.h: every length implied by the input is validated against
+// the reader's remaining bytes *before* any allocation is sized from it,
+// so truncated, corrupt or adversarial input surfaces as Status
+// (kCorruption), never a crash, hang or out-of-bounds access. Round-trips
+// and the decoder fuzzing live in tests/codec_test.cc.
 
 #ifndef SLPSPAN_STORAGE_CODEC_CODEC_H_
 #define SLPSPAN_STORAGE_CODEC_CODEC_H_
@@ -33,7 +24,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "slpspan/bundle_codec.h"
 #include "storage/bundle_format.h"
 #include "util/status.h"
 
@@ -41,56 +31,16 @@ namespace slpspan {
 namespace storage {
 namespace codec {
 
-/// Wire tag of a tagged stream — the first byte after a v2 section header.
-enum class CodecId : uint8_t {
-  kRaw = 0,
-  kVarintGB = 1,
-  kBitPack = 2,
-  kEliasFano = 3,
-};
+/// The only stream tag format v2 readers accept.
+inline constexpr uint8_t kBitPackTag = 2;
 
-/// One integer codec. Implementations are stateless singletons.
-class Codec {
- public:
-  virtual ~Codec() = default;
+/// Appends values[0..count) to `*w` as a tagged, block-bitpacked stream.
+void WriteTaggedU64s(const uint64_t* values, size_t count, BundleWriter* w);
 
-  virtual CodecId id() const = 0;
-  virtual const char* name() const = 0;
-
-  /// Appends the encoding of values[0..count) to `*w`. Elias-Fano requires
-  /// the values to be monotone non-decreasing; every other codec accepts
-  /// arbitrary u64 streams.
-  virtual void Encode(const uint64_t* values, size_t count,
-                      BundleWriter* w) const = 0;
-
-  /// Decodes exactly `count` values into `*out` (resized by the codec only
-  /// after its minimum encoded size has been validated against the
-  /// reader). Strictly bounds-checked; kCorruption on any malformed input.
-  virtual Status Decode(BundleReader* r, size_t count,
-                        std::vector<uint64_t>* out) const = 0;
-};
-
-const Codec& RawCodec();
-const Codec& VarintGBCodec();
-const Codec& BitPackCodec();
-const Codec& EliasFanoCodec();
-
-/// Wire tag -> codec; nullptr for an unknown tag (reader rejects it).
-const Codec* CodecById(uint8_t id);
-
-/// Whether a stream is known monotone non-decreasing (position lists) —
-/// the precondition for Elias-Fano eligibility.
-enum class StreamKind { kGeneral, kMonotone };
-
-/// Writes `values` as a tagged stream: the codec implied by `choice`
-/// (BundleCodec::kAuto encodes with every eligible codec and keeps the
-/// smallest; a fixed choice that does not apply to `kind` — Elias-Fano on
-/// a general stream — falls back to kRaw), then its payload.
-void WriteTaggedU64s(const uint64_t* values, size_t count, BundleCodec choice,
-                     StreamKind kind, BundleWriter* w);
-
-/// Reads a tagged stream of exactly `count` values; kCorruption on an
-/// unknown codec tag or malformed payload.
+/// Reads a tagged stream of exactly `count` values into `*out` (resized
+/// only after the stream's minimum encoded size has been validated against
+/// the reader). kCorruption on any tag other than kBitPackTag or on a
+/// malformed payload.
 Status ReadTaggedU64s(BundleReader* r, size_t count,
                       std::vector<uint64_t>* out);
 

@@ -1,11 +1,10 @@
 // Prepared-state bundles: write a PreparedState to disk and load it back,
 // optionally mmap-backed, with document/query fingerprint verification.
 //
-// Two payload layouts share this file: format v1 (raw sections, still
-// written under BundleCodec::kV1 and readable forever) and format v2,
-// whose sections route their integer streams through the codec layer
-// (src/storage/codec/) behind per-section tags. See docs/STORAGE_CODECS.md
-// for the byte-level v2 map.
+// There is one writer: format v2, whose sections route every integer
+// stream through the bitpacked tagged streams of src/storage/codec/. The
+// reader also accepts format v1 (raw sections), which is frozen: no build
+// writes it any more. See docs/STORAGE_CODECS.md for the byte-level map.
 #include "storage/prepared_bundle.h"
 
 #include <unistd.h>
@@ -32,38 +31,26 @@ namespace storage {
 namespace {
 
 using codec::ReadTaggedU64s;
-using codec::StreamKind;
 using codec::WriteTaggedU64s;
 
-// Per-matrix / per-grid layout tags. kDense/kSparse are the v1 raw layouts
-// (still chosen by v2 writers when they win on size); the coded layouts
-// wrap their streams in codec tags and appear in v2 bundles only.
+// Per-matrix / per-grid layout tags: v1 bundles carry only the raw
+// layouts, v2 bundles only the coded ones.
 constexpr uint8_t kDense = 0;
 constexpr uint8_t kSparse = 1;
 constexpr uint8_t kDenseCoded = 2;
 constexpr uint8_t kSparseCoded = 3;
 
-// Grammar-section tags (v2 only; v1 has no tag byte).
-constexpr uint8_t kGrammarRaw = 0;
+// The v2 grammar section's tag byte (v1 has none). Tag 0, a v1-style rule
+// listing, was only ever written together with retired stream codecs.
 constexpr uint8_t kGrammarCompact = 1;
 
-// ------------------------------------------------------------- grammar ----
+using LeafGrid = std::vector<std::vector<MarkerMask>>;
 
-void WriteGrammar(const Slp& slp, BundleWriter* w) {
-  w->U32(slp.NumNonTerminals());
-  w->U32(slp.root());
-  for (NtId a = 0; a < slp.NumNonTerminals(); ++a) {
-    if (slp.IsLeaf(a)) {
-      w->U32(slp.LeafSymbol(a));
-      w->U32(kInvalidNt);
-    } else {
-      w->U32(slp.Left(a));
-      w->U32(slp.Right(a));
-    }
-  }
-}
+// ------------------------------------------------ format v1 (read only) ----
 
-Result<Slp> ReadGrammar(BundleReader* r) {
+// Grammar: num_nts u32, root u32, then per non-terminal left u32, right
+// u32 (right == kInvalidNt marks a leaf whose terminal symbol is `left`).
+Result<Slp> ReadGrammarV1(BundleReader* r) {
   uint32_t num_nts = 0, root = 0;
   Status st = r->U32(&num_nts);
   if (st.ok()) st = r->U32(&root);
@@ -83,13 +70,183 @@ Result<Slp> ReadGrammar(BundleReader* r) {
   return Slp::FromRules(rules, root);
 }
 
+// Matrix: kDense (q rows of logical words) or kSparse (nonzero u32, then
+// index u32 + bits u64 per non-zero word).
+Status ReadMatrixV1(BundleReader* r, uint32_t q, BoolMatrix* out) {
+  uint8_t format = 0;
+  Status st = r->U8(&format);
+  if (!st.ok()) return st;
+  const uint32_t words = (q + 63) / 64;
+  const size_t total_words = static_cast<size_t>(q) * words;
+  if (format == kDense) {
+    if (r->remaining() < total_words * 8) {
+      return Status::Corruption("truncated dense matrix");
+    }
+    *out = BoolMatrix(q);
+    for (uint32_t i = 0; i < q; ++i) {
+      (void)r->Bytes(out->MutableRow(i), static_cast<size_t>(words) * 8);
+    }
+    // Pool adoption: loaded matrices join the multiply fast path with the
+    // same aligned layout and frozen density profile as built ones.
+    out->CacheRowPopcounts();
+    return Status::OK();
+  }
+  if (format != kSparse) return Status::Corruption("unknown matrix format");
+  uint32_t nonzero = 0;
+  st = r->U32(&nonzero);
+  if (!st.ok()) return st;
+  if (r->remaining() < static_cast<size_t>(nonzero) * 12) {
+    return Status::Corruption("truncated sparse matrix");
+  }
+  *out = BoolMatrix(q);
+  for (uint32_t e = 0; e < nonzero; ++e) {
+    uint32_t index = 0;
+    uint64_t bits = 0;
+    (void)r->U32(&index);
+    (void)r->U64(&bits);
+    if (index >= total_words) {
+      return Status::Corruption("sparse matrix word index out of range");
+    }
+    out->MutableRow(index / words)[index % words] = bits;
+  }
+  out->CacheRowPopcounts();
+  return Status::OK();
+}
+
+// Index arrays: u16 per entry when the pool has <= 0xFFFF matrices, else u32.
+Status ReadMatrixIndexesV1(BundleReader* r, uint32_t n, uint32_t num_unique,
+                           std::vector<uint32_t>* u_idx,
+                           std::vector<uint32_t>* w_idx) {
+  const bool narrow = num_unique <= 0xFFFF;
+  if (r->remaining() < static_cast<size_t>(n) * 2 * (narrow ? 2 : 4)) {
+    return Status::Corruption("truncated matrix index table");
+  }
+  for (std::vector<uint32_t>* dest : {u_idx, w_idx}) {
+    dest->resize(n);
+    for (uint32_t a = 0; a < n; ++a) {
+      uint32_t idx = 0;
+      if (narrow) {
+        uint16_t idx16 = 0;
+        (void)r->U16(&idx16);
+        idx = idx16;
+      } else {
+        (void)r->U32(&idx);
+      }
+      if (idx >= num_unique) {
+        return Status::Corruption("matrix index out of range");
+      }
+      (*dest)[a] = idx;
+    }
+  }
+  return Status::OK();
+}
+
+Status ReadCellMasksV1(BundleReader* r, uint32_t len,
+                       std::vector<MarkerMask>* cell) {
+  if (r->remaining() < static_cast<size_t>(len) * 8) {
+    return Status::Corruption("truncated leaf cell");
+  }
+  cell->resize(len);
+  for (uint32_t m = 0; m < len; ++m) (void)r->U64(&(*cell)[m]);
+  return Status::OK();
+}
+
+// Leaf grid: kDense (len u32 + masks per cell) or kSparse (nonempty u32,
+// then index u32 + len u32 + masks per non-empty cell).
+Status ReadLeafGridV1(BundleReader* r, uint32_t q, LeafGrid* grid) {
+  uint8_t format = 0;
+  Status st = r->U8(&format);
+  if (!st.ok()) return st;
+  const size_t cells = static_cast<size_t>(q) * q;
+  if (format == kDense) {
+    if (r->remaining() < cells * 4) {
+      return Status::Corruption("truncated dense leaf grid");
+    }
+    grid->resize(cells);
+    for (size_t c = 0; c < cells; ++c) {
+      uint32_t len = 0;
+      st = r->U32(&len);
+      if (st.ok()) st = ReadCellMasksV1(r, len, &(*grid)[c]);
+      if (!st.ok()) return st;
+    }
+    return Status::OK();
+  }
+  if (format != kSparse) return Status::Corruption("unknown leaf grid format");
+  uint32_t nonempty = 0;
+  st = r->U32(&nonempty);
+  if (!st.ok()) return st;
+  if (r->remaining() < static_cast<size_t>(nonempty) * 8) {
+    return Status::Corruption("truncated sparse leaf grid");
+  }
+  // A sparse grid materializes q×q cell vectors from almost no payload, so
+  // cap the expansion factor: an honest bundle's other sections already
+  // cost bytes proportional to q, making a grid thousands of times larger
+  // than the whole remaining payload physically implausible — while a
+  // forged q near 2^16 would otherwise demand ~100 GiB of empty vectors.
+  if (cells / 1024 > r->remaining()) {
+    return Status::Corruption("implausible leaf grid dimension");
+  }
+  grid->resize(cells);
+  for (uint32_t e = 0; e < nonempty; ++e) {
+    uint32_t index = 0, len = 0;
+    (void)r->U32(&index);
+    st = r->U32(&len);
+    if (!st.ok()) return st;
+    if (index >= cells) {
+      return Status::Corruption("leaf cell index out of range");
+    }
+    st = ReadCellMasksV1(r, len, &(*grid)[index]);
+    if (!st.ok()) return st;
+  }
+  return Status::OK();
+}
+
+// Counter: num u64, then per key-sorted entry varint key delta + varint
+// count, then num_final u32 + u32 states, total u64, overflow u8.
+Result<CountTables::Parts> ReadCounterPartsV1(BundleReader* r) {
+  CountTables::Parts parts;
+  uint64_t num_counts = 0;
+  Status st = r->U64(&num_counts);
+  if (!st.ok()) return st;
+  if (num_counts > r->remaining() / 2) {  // every entry takes >= 2 bytes
+    return Status::Corruption("truncated counter section");
+  }
+  parts.counts.reserve(num_counts);
+  uint64_t key = 0;
+  for (uint64_t e = 0; e < num_counts; ++e) {
+    uint64_t delta = 0, count = 0;
+    st = r->Varint(&delta);
+    if (st.ok()) st = r->Varint(&count);
+    if (!st.ok()) return st;
+    key += delta;
+    parts.counts.emplace_back(key, count);
+  }
+  uint32_t num_final = 0;
+  st = r->U32(&num_final);
+  if (!st.ok()) return st;
+  if (r->remaining() < static_cast<size_t>(num_final) * 4) {
+    return Status::Corruption("truncated counter final states");
+  }
+  parts.final_states.resize(num_final);
+  for (uint32_t e = 0; e < num_final; ++e) (void)r->U32(&parts.final_states[e]);
+  uint8_t overflow = 0;
+  st = r->U64(&parts.total);
+  if (st.ok()) st = r->U8(&overflow);
+  if (!st.ok()) return st;
+  parts.overflow = overflow != 0;
+  return parts;
+}
+
+// ------------------------------------------------------------- grammar ----
+
 // Compact grammar (Takasaka & I spirit): the SLP is topologically numbered
 // — both children of an inner non-terminal have strictly smaller ids — so
 // a rule a -> (left, right) stores the positive deltas a-left and a-right
 // as varints, and a leaf bitmap plus varint terminal symbols covers the
 // rest. Real grammars reference recent non-terminals constantly, so the
 // deltas land in one or two bytes instead of v1's fixed eight per rule.
-void WriteGrammarCompact(const Slp& slp, BundleWriter* w) {
+void WriteGrammar(const Slp& slp, BundleWriter* w) {
+  w->U8(kGrammarCompact);
   const uint32_t n = slp.NumNonTerminals();
   w->Varint(n);
   w->Varint(slp.root());
@@ -108,9 +265,15 @@ void WriteGrammarCompact(const Slp& slp, BundleWriter* w) {
   }
 }
 
-Result<Slp> ReadGrammarCompact(BundleReader* r) {
+Result<Slp> ReadGrammar(BundleReader* r) {
+  uint8_t tag = 0;
+  Status st = r->U8(&tag);
+  if (!st.ok()) return st;
+  if (tag != kGrammarCompact) {
+    return Status::Corruption("unknown grammar section tag");
+  }
   uint64_t num_nts = 0, root = 0;
-  Status st = r->Varint(&num_nts);
+  st = r->Varint(&num_nts);
   if (st.ok()) st = r->Varint(&root);
   if (!st.ok()) return st;
   if (num_nts == 0) return Status::Corruption("bundle grammar is empty");
@@ -152,71 +315,15 @@ Result<Slp> ReadGrammarCompact(BundleReader* r) {
   return Slp::FromRules(rules, static_cast<uint32_t>(root));
 }
 
-void WriteGrammarV2(const Slp& slp, BundleCodec choice, BundleWriter* w) {
-  if (choice == BundleCodec::kRaw) {
-    w->U8(kGrammarRaw);
-    WriteGrammar(slp, w);
-  } else {
-    w->U8(kGrammarCompact);
-    WriteGrammarCompact(slp, w);
-  }
-}
-
-Result<Slp> ReadGrammarV2(BundleReader* r) {
-  uint8_t tag = 0;
-  Status st = r->U8(&tag);
-  if (!st.ok()) return st;
-  if (tag == kGrammarRaw) return ReadGrammar(r);
-  if (tag != kGrammarCompact) {
-    return Status::Corruption("unknown grammar section tag");
-  }
-  return ReadGrammarCompact(r);
-}
-
 // ------------------------------------------------------------ matrices ----
 
+// Each matrix takes the smaller of two layouts: dense-coded (every logical
+// word through one tagged stream) or sparse-coded (the strictly increasing
+// non-zero word positions plus the non-zero words themselves).
 // Serialization iterates logical words only: the in-memory rows are padded
 // to the kernel layer's 32-byte stride, but the .prep byte format stays
-// padding-independent (bundles written before and after the SIMD layout
-// change are byte-identical).
+// padding-independent.
 void WriteMatrix(const BoolMatrix& m, uint32_t q, BundleWriter* w) {
-  const uint32_t words = m.logical_words_per_row();
-  const size_t total_words = static_cast<size_t>(q) * words;
-  size_t nonzero = 0;
-  for (uint32_t i = 0; i < q; ++i) {
-    const uint64_t* row = m.Row(i);
-    for (uint32_t k = 0; k < words; ++k) nonzero += row[k] != 0;
-  }
-  // Sparse entry = index u32 + bits u64; dense word = bits u64.
-  if (nonzero * 12 < total_words * 8) {
-    w->U8(kSparse);
-    w->U32(static_cast<uint32_t>(nonzero));
-    for (uint32_t i = 0; i < q; ++i) {
-      const uint64_t* row = m.Row(i);
-      for (uint32_t k = 0; k < words; ++k) {
-        if (row[k] == 0) continue;
-        w->U32(i * words + k);
-        w->U64(row[k]);
-      }
-    }
-  } else {
-    w->U8(kDense);
-    for (uint32_t i = 0; i < q; ++i) {
-      w->Bytes(m.Row(i), static_cast<size_t>(words) * 8);
-    }
-  }
-}
-
-// v2 matrices pick the smaller of two codec-backed layouts: dense-coded
-// (every logical word through one tagged stream) or sparse-coded (the
-// strictly increasing non-zero word positions — Elias-Fano territory —
-// plus the non-zero words themselves).
-void WriteMatrixV2(const BoolMatrix& m, uint32_t q, BundleCodec choice,
-                   BundleWriter* w) {
-  if (choice == BundleCodec::kRaw) {
-    WriteMatrix(m, q, w);
-    return;
-  }
   const uint32_t words = m.logical_words_per_row();
   std::vector<uint64_t> all;
   all.reserve(static_cast<size_t>(q) * words);
@@ -232,14 +339,11 @@ void WriteMatrixV2(const BoolMatrix& m, uint32_t q, BundleCodec choice,
     }
   }
   BundleWriter dense;
-  WriteTaggedU64s(all.data(), all.size(), choice, StreamKind::kGeneral,
-                  &dense);
+  WriteTaggedU64s(all.data(), all.size(), &dense);
   BundleWriter sparse;
   sparse.U32(static_cast<uint32_t>(positions.size()));
-  WriteTaggedU64s(positions.data(), positions.size(), choice,
-                  StreamKind::kMonotone, &sparse);
-  WriteTaggedU64s(bits.data(), bits.size(), choice, StreamKind::kGeneral,
-                  &sparse);
+  WriteTaggedU64s(positions.data(), positions.size(), &sparse);
+  WriteTaggedU64s(bits.data(), bits.size(), &sparse);
   if (sparse.buffer().size() < dense.buffer().size()) {
     w->U8(kSparseCoded);
     w->Bytes(sparse.buffer().data(), sparse.buffer().size());
@@ -249,50 +353,12 @@ void WriteMatrixV2(const BoolMatrix& m, uint32_t q, BundleCodec choice,
   }
 }
 
-Status ReadMatrix(BundleReader* r, uint32_t q, bool allow_coded,
-                  BoolMatrix* out) {
+Status ReadMatrix(BundleReader* r, uint32_t q, BoolMatrix* out) {
   uint8_t format = 0;
   Status st = r->U8(&format);
   if (!st.ok()) return st;
   const uint32_t words = (q + 63) / 64;
   const size_t total_words = static_cast<size_t>(q) * words;
-  if (format == kDense) {
-    if (r->remaining() < total_words * 8) {
-      return Status::Corruption("truncated dense matrix");
-    }
-    *out = BoolMatrix(q);
-    for (uint32_t i = 0; i < q; ++i) {
-      (void)r->Bytes(out->MutableRow(i), static_cast<size_t>(words) * 8);
-    }
-    // Pool adoption: loaded matrices join the multiply fast path with the
-    // same aligned layout and frozen density profile as built ones.
-    out->CacheRowPopcounts();
-    return Status::OK();
-  }
-  if (format == kSparse) {
-    uint32_t nonzero = 0;
-    st = r->U32(&nonzero);
-    if (!st.ok()) return st;
-    if (r->remaining() < static_cast<size_t>(nonzero) * 12) {
-      return Status::Corruption("truncated sparse matrix");
-    }
-    *out = BoolMatrix(q);
-    for (uint32_t e = 0; e < nonzero; ++e) {
-      uint32_t index = 0;
-      uint64_t bits = 0;
-      (void)r->U32(&index);
-      (void)r->U64(&bits);
-      if (index >= total_words) {
-        return Status::Corruption("sparse matrix word index out of range");
-      }
-      out->MutableRow(index / words)[index % words] = bits;
-    }
-    out->CacheRowPopcounts();
-    return Status::OK();
-  }
-  if (!allow_coded || (format != kDenseCoded && format != kSparseCoded)) {
-    return Status::Corruption("unknown matrix format");
-  }
   if (format == kDenseCoded) {
     std::vector<uint64_t> all;
     st = ReadTaggedU64s(r, total_words, &all);
@@ -306,6 +372,9 @@ Status ReadMatrix(BundleReader* r, uint32_t q, bool allow_coded,
     }
     out->CacheRowPopcounts();
     return Status::OK();
+  }
+  if (format != kSparseCoded) {
+    return Status::Corruption("unknown matrix format");
   }
   uint32_t nonzero = 0;
   st = r->U32(&nonzero);
@@ -334,43 +403,22 @@ Status ReadMatrix(BundleReader* r, uint32_t q, bool allow_coded,
 // already stores them hash-consed (a pool of distinct matrices plus two
 // per-nt indexes). The bundle mirrors that representation 1:1 — an
 // order-of-magnitude smaller file, and deserialization adopts the pool
-// without any per-nt matrix copies.
-
+// without any per-nt matrix copies. The per-nt u/w index arrays — 2n
+// values in [0, pool) — go through one tagged stream, which bitpacks them
+// to ~log2(pool) bits each.
 void WriteMatrixPool(const EvalTables& tables, uint32_t q, BundleWriter* w) {
   const std::vector<BoolMatrix>& pool = tables.pool();
   w->U32(static_cast<uint32_t>(pool.size()));
   for (const BoolMatrix& m : pool) WriteMatrix(m, q, w);
-  const bool narrow = pool.size() <= 0xFFFF;
-  for (const std::vector<uint32_t>* indexes :
-       {&tables.u_indexes(), &tables.w_indexes()}) {
-    for (const uint32_t idx : *indexes) {
-      if (narrow) {
-        w->U16(static_cast<uint16_t>(idx));
-      } else {
-        w->U32(idx);
-      }
-    }
-  }
-}
-
-// v2: the per-nt u/w index arrays — 2n values in [0, pool) — go through
-// one tagged stream; bitpacking takes them to ~log2(pool) bits each
-// instead of 16 or 32.
-void WriteMatrixPoolV2(const EvalTables& tables, uint32_t q,
-                       BundleCodec choice, BundleWriter* w) {
-  const std::vector<BoolMatrix>& pool = tables.pool();
-  w->U32(static_cast<uint32_t>(pool.size()));
-  for (const BoolMatrix& m : pool) WriteMatrixV2(m, q, choice, w);
   std::vector<uint64_t> indexes;
   indexes.reserve(tables.u_indexes().size() + tables.w_indexes().size());
   for (const uint32_t idx : tables.u_indexes()) indexes.push_back(idx);
   for (const uint32_t idx : tables.w_indexes()) indexes.push_back(idx);
-  WriteTaggedU64s(indexes.data(), indexes.size(), choice,
-                  StreamKind::kGeneral, w);
+  WriteTaggedU64s(indexes.data(), indexes.size(), w);
 }
 
-Status ReadMatrixPool(BundleReader* r, uint32_t version, uint32_t n,
-                      uint32_t q, std::vector<BoolMatrix>* pool,
+Status ReadMatrixPool(BundleReader* r, bool v1, uint32_t n, uint32_t q,
+                      std::vector<BoolMatrix>* pool,
                       std::vector<uint32_t>* u_idx,
                       std::vector<uint32_t>* w_idx) {
   uint32_t num_unique = 0;
@@ -380,103 +428,34 @@ Status ReadMatrixPool(BundleReader* r, uint32_t version, uint32_t n,
   if (num_unique > r->remaining()) {  // every matrix takes >= 1 byte
     return Status::Corruption("truncated matrix pool");
   }
-  const bool coded = version >= 2;
   pool->resize(num_unique);
   for (uint32_t m = 0; m < num_unique; ++m) {
-    st = ReadMatrix(r, q, coded, &(*pool)[m]);
+    st = v1 ? ReadMatrixV1(r, q, &(*pool)[m]) : ReadMatrix(r, q, &(*pool)[m]);
     if (!st.ok()) return st;
   }
-  if (coded) {
-    std::vector<uint64_t> indexes;
-    st = ReadTaggedU64s(r, static_cast<size_t>(n) * 2, &indexes);
-    if (!st.ok()) return st;
-    u_idx->resize(n);
-    w_idx->resize(n);
-    for (uint32_t a = 0; a < 2 * n; ++a) {
-      if (indexes[a] >= num_unique) {
-        return Status::Corruption("matrix index out of range");
-      }
-      (a < n ? (*u_idx)[a] : (*w_idx)[a - n]) =
-          static_cast<uint32_t>(indexes[a]);
+  if (v1) return ReadMatrixIndexesV1(r, n, num_unique, u_idx, w_idx);
+  std::vector<uint64_t> indexes;
+  st = ReadTaggedU64s(r, static_cast<size_t>(n) * 2, &indexes);
+  if (!st.ok()) return st;
+  u_idx->resize(n);
+  w_idx->resize(n);
+  for (uint32_t a = 0; a < 2 * n; ++a) {
+    if (indexes[a] >= num_unique) {
+      return Status::Corruption("matrix index out of range");
     }
-    return Status::OK();
-  }
-  const bool narrow = num_unique <= 0xFFFF;
-  if (r->remaining() < static_cast<size_t>(n) * 2 * (narrow ? 2 : 4)) {
-    return Status::Corruption("truncated matrix index table");
-  }
-  for (std::vector<uint32_t>* dest : {u_idx, w_idx}) {
-    dest->resize(n);
-    for (uint32_t a = 0; a < n; ++a) {
-      uint32_t idx = 0;
-      if (narrow) {
-        uint16_t idx16 = 0;
-        (void)r->U16(&idx16);
-        idx = idx16;
-      } else {
-        (void)r->U32(&idx);
-      }
-      if (idx >= num_unique) {
-        return Status::Corruption("matrix index out of range");
-      }
-      (*dest)[a] = idx;
-    }
+    (a < n ? (*u_idx)[a] : (*w_idx)[a - n]) = static_cast<uint32_t>(indexes[a]);
   }
   return Status::OK();
 }
 
 // ---------------------------------------------------------- leaf cells ----
 
-using LeafGrid = std::vector<std::vector<MarkerMask>>;
-
-void WriteLeafGrid(const Slp& slp, const EvalTables& tables, NtId leaf,
-                   uint32_t q, BundleWriter* w) {
-  (void)slp;
-  const size_t cells = static_cast<size_t>(q) * q;
-  size_t nonempty = 0, total_masks = 0;
-  for (StateId i = 0; i < q; ++i) {
-    for (StateId j = 0; j < q; ++j) {
-      const auto& cell = tables.LeafCell(leaf, i, j);
-      nonempty += !cell.empty();
-      total_masks += cell.size();
-    }
-  }
-  // Dense cost: len u32 per cell; sparse cost: cell-index u32 + len u32 per
-  // non-empty cell. The mask payload is identical either way.
-  if (nonempty * 8 < cells * 4) {
-    w->U8(kSparse);
-    w->U32(static_cast<uint32_t>(nonempty));
-    for (StateId i = 0; i < q; ++i) {
-      for (StateId j = 0; j < q; ++j) {
-        const auto& cell = tables.LeafCell(leaf, i, j);
-        if (cell.empty()) continue;
-        w->U32(i * q + j);
-        w->U32(static_cast<uint32_t>(cell.size()));
-        for (const MarkerMask mask : cell) w->U64(mask);
-      }
-    }
-  } else {
-    w->U8(kDense);
-    for (StateId i = 0; i < q; ++i) {
-      for (StateId j = 0; j < q; ++j) {
-        const auto& cell = tables.LeafCell(leaf, i, j);
-        w->U32(static_cast<uint32_t>(cell.size()));
-        for (const MarkerMask mask : cell) w->U64(mask);
-      }
-    }
-  }
-}
-
-// v2 grids mirror the matrix layout choice: dense-coded streams every
-// cell's length (mostly zero -> bitpack collapses them), sparse-coded
-// streams the non-empty cell positions (monotone -> Elias-Fano) plus their
-// lengths; the mask payload rides one tagged stream either way.
-void WriteLeafGridV2(const Slp& slp, const EvalTables& tables, NtId leaf,
-                     uint32_t q, BundleCodec choice, BundleWriter* w) {
-  if (choice == BundleCodec::kRaw) {
-    WriteLeafGrid(slp, tables, leaf, q, w);
-    return;
-  }
+// Grids mirror the matrix layout choice: dense-coded streams every cell's
+// length (mostly zero, which bitpacking collapses), sparse-coded streams
+// the non-empty cell positions plus their lengths; the mask payload rides
+// one tagged stream either way.
+void WriteLeafGrid(const EvalTables& tables, NtId leaf, uint32_t q,
+                   BundleWriter* w) {
   std::vector<uint64_t> lens, masks, positions, sparse_lens;
   lens.reserve(static_cast<size_t>(q) * q);
   for (StateId i = 0; i < q; ++i) {
@@ -491,14 +470,11 @@ void WriteLeafGridV2(const Slp& slp, const EvalTables& tables, NtId leaf,
     }
   }
   BundleWriter dense;
-  WriteTaggedU64s(lens.data(), lens.size(), choice, StreamKind::kGeneral,
-                  &dense);
+  WriteTaggedU64s(lens.data(), lens.size(), &dense);
   BundleWriter sparse;
   sparse.U32(static_cast<uint32_t>(positions.size()));
-  WriteTaggedU64s(positions.data(), positions.size(), choice,
-                  StreamKind::kMonotone, &sparse);
-  WriteTaggedU64s(sparse_lens.data(), sparse_lens.size(), choice,
-                  StreamKind::kGeneral, &sparse);
+  WriteTaggedU64s(positions.data(), positions.size(), &sparse);
+  WriteTaggedU64s(sparse_lens.data(), sparse_lens.size(), &sparse);
   if (sparse.buffer().size() < dense.buffer().size()) {
     w->U8(kSparseCoded);
     w->Bytes(sparse.buffer().data(), sparse.buffer().size());
@@ -506,21 +482,10 @@ void WriteLeafGridV2(const Slp& slp, const EvalTables& tables, NtId leaf,
     w->U8(kDenseCoded);
     w->Bytes(dense.buffer().data(), dense.buffer().size());
   }
-  WriteTaggedU64s(masks.data(), masks.size(), choice, StreamKind::kGeneral,
-                  w);
+  WriteTaggedU64s(masks.data(), masks.size(), w);
 }
 
-Status ReadCellMasks(BundleReader* r, uint32_t len,
-                     std::vector<MarkerMask>* cell) {
-  if (r->remaining() < static_cast<size_t>(len) * 8) {
-    return Status::Corruption("truncated leaf cell");
-  }
-  cell->resize(len);
-  for (uint32_t m = 0; m < len; ++m) (void)r->U64(&(*cell)[m]);
-  return Status::OK();
-}
-
-// Shared tail of the v2 grid layouts: validate the per-cell lengths, then
+// Shared tail of the two grid layouts: validate the per-cell lengths, then
 // decode the single mask stream and deal it out.
 Status FillGridFromLens(BundleReader* r, const std::vector<uint64_t>& cells_at,
                         const std::vector<uint64_t>& lens, size_t cells,
@@ -552,60 +517,17 @@ Status FillGridFromLens(BundleReader* r, const std::vector<uint64_t>& cells_at,
   return Status::OK();
 }
 
-Status ReadLeafGrid(BundleReader* r, uint32_t q, bool allow_coded,
-                    LeafGrid* grid) {
+Status ReadLeafGrid(BundleReader* r, uint32_t q, LeafGrid* grid) {
   uint8_t format = 0;
   Status st = r->U8(&format);
   if (!st.ok()) return st;
-  const size_t cells = static_cast<size_t>(q) * q;
-  if (format == kDense) {
-    if (r->remaining() < cells * 4) {
-      return Status::Corruption("truncated dense leaf grid");
-    }
-    grid->resize(cells);
-    for (size_t c = 0; c < cells; ++c) {
-      uint32_t len = 0;
-      st = r->U32(&len);
-      if (st.ok()) st = ReadCellMasks(r, len, &(*grid)[c]);
-      if (!st.ok()) return st;
-    }
-    return Status::OK();
-  }
-  if (format == kSparse) {
-    uint32_t nonempty = 0;
-    st = r->U32(&nonempty);
-    if (!st.ok()) return st;
-    if (r->remaining() < static_cast<size_t>(nonempty) * 8) {
-      return Status::Corruption("truncated sparse leaf grid");
-    }
-    // A sparse grid materializes q×q cell vectors from almost no payload, so
-    // cap the expansion factor: an honest bundle's other sections already
-    // cost bytes proportional to q, making a grid thousands of times larger
-    // than the whole remaining payload physically implausible — while a
-    // forged q near 2^16 would otherwise demand ~100 GiB of empty vectors.
-    if (cells / 1024 > r->remaining()) {
-      return Status::Corruption("implausible leaf grid dimension");
-    }
-    grid->resize(cells);
-    for (uint32_t e = 0; e < nonempty; ++e) {
-      uint32_t index = 0, len = 0;
-      (void)r->U32(&index);
-      st = r->U32(&len);
-      if (!st.ok()) return st;
-      if (index >= cells) {
-        return Status::Corruption("leaf cell index out of range");
-      }
-      st = ReadCellMasks(r, len, &(*grid)[index]);
-      if (!st.ok()) return st;
-    }
-    return Status::OK();
-  }
-  if (!allow_coded || (format != kDenseCoded && format != kSparseCoded)) {
+  if (format != kDenseCoded && format != kSparseCoded) {
     return Status::Corruption("unknown leaf grid format");
   }
-  // Same implausible-dimension cap as the raw sparse layout: every coded
-  // grid still costs at least cells/128 tag-stream bytes when dense and a
-  // position stream when sparse.
+  const size_t cells = static_cast<size_t>(q) * q;
+  // Same implausible-dimension cap as v1's sparse layout: every grid still
+  // costs at least cells/128 stream bytes when dense and a position stream
+  // when sparse.
   if (cells / 1024 > r->remaining()) {
     return Status::Corruption("implausible leaf grid dimension");
   }
@@ -632,28 +554,9 @@ Status ReadLeafGrid(BundleReader* r, uint32_t q, bool allow_coded,
 
 // ------------------------------------------------------------- counter ----
 
-// Counts are key-sorted, so keys delta-encode into 1-2 varint bytes; counts
-// themselves are usually tiny. ~3 bytes per reachable triple instead of 16.
+// Counts are key-sorted, so keys delta-encode to small values; keys and
+// counts ride two tagged streams, and the final states pack too.
 void WriteCounter(const CountTables& counter, BundleWriter* w) {
-  const CountTables::Parts parts = counter.ExportParts();
-  w->U64(parts.counts.size());
-  uint64_t prev_key = 0;
-  for (const auto& [key, count] : parts.counts) {
-    w->Varint(key - prev_key);
-    w->Varint(count);
-    prev_key = key;
-  }
-  w->U32(static_cast<uint32_t>(parts.final_states.size()));
-  for (const StateId s : parts.final_states) w->U32(s);
-  w->U64(parts.total);
-  w->U8(parts.overflow ? 1 : 0);
-}
-
-// v2: the same delta transform, but keys and counts ride two tagged
-// streams (VarintGB or bitpack, whichever wins) instead of interleaved
-// LEB128 — and the final states pack too.
-void WriteCounterV2(const CountTables& counter, BundleCodec choice,
-                    BundleWriter* w) {
   const CountTables::Parts parts = counter.ExportParts();
   w->U64(parts.counts.size());
   std::vector<uint64_t> deltas, counts;
@@ -665,15 +568,12 @@ void WriteCounterV2(const CountTables& counter, BundleCodec choice,
     counts.push_back(count);
     prev_key = key;
   }
-  WriteTaggedU64s(deltas.data(), deltas.size(), choice, StreamKind::kGeneral,
-                  w);
-  WriteTaggedU64s(counts.data(), counts.size(), choice, StreamKind::kGeneral,
-                  w);
+  WriteTaggedU64s(deltas.data(), deltas.size(), w);
+  WriteTaggedU64s(counts.data(), counts.size(), w);
   w->U32(static_cast<uint32_t>(parts.final_states.size()));
   std::vector<uint64_t> finals(parts.final_states.begin(),
                                parts.final_states.end());
-  WriteTaggedU64s(finals.data(), finals.size(), choice, StreamKind::kGeneral,
-                  w);
+  WriteTaggedU64s(finals.data(), finals.size(), w);
   w->U64(parts.total);
   w->U8(parts.overflow ? 1 : 0);
 }
@@ -683,42 +583,8 @@ Result<CountTables::Parts> ReadCounterParts(BundleReader* r) {
   uint64_t num_counts = 0;
   Status st = r->U64(&num_counts);
   if (!st.ok()) return st;
-  if (num_counts > r->remaining() / 2) {  // every entry takes >= 2 bytes
-    return Status::Corruption("truncated counter section");
-  }
-  parts.counts.reserve(num_counts);
-  uint64_t key = 0;
-  for (uint64_t e = 0; e < num_counts; ++e) {
-    uint64_t delta = 0, count = 0;
-    st = r->Varint(&delta);
-    if (st.ok()) st = r->Varint(&count);
-    if (!st.ok()) return st;
-    key += delta;
-    parts.counts.emplace_back(key, count);
-  }
-  uint32_t num_final = 0;
-  st = r->U32(&num_final);
-  if (!st.ok()) return st;
-  if (r->remaining() < static_cast<size_t>(num_final) * 4) {
-    return Status::Corruption("truncated counter final states");
-  }
-  parts.final_states.resize(num_final);
-  for (uint32_t e = 0; e < num_final; ++e) (void)r->U32(&parts.final_states[e]);
-  uint8_t overflow = 0;
-  st = r->U64(&parts.total);
-  if (st.ok()) st = r->U8(&overflow);
-  if (!st.ok()) return st;
-  parts.overflow = overflow != 0;
-  return parts;
-}
-
-Result<CountTables::Parts> ReadCounterPartsV2(BundleReader* r) {
-  CountTables::Parts parts;
-  uint64_t num_counts = 0;
-  Status st = r->U64(&num_counts);
-  if (!st.ok()) return st;
-  // Each entry takes >= 1 stream byte after the densest packing; the codec
-  // decoders re-check their own exact minimums.
+  // Each entry takes >= 1 stream byte after the densest packing; the
+  // stream decoder re-checks its own exact minimum.
   if (num_counts / 128 > r->remaining()) {
     return Status::Corruption("truncated counter section");
   }
@@ -758,48 +624,28 @@ Result<CountTables::Parts> ReadCounterPartsV2(BundleReader* r) {
 // ----------------------------------------------------------- top level ----
 
 std::string SerializePreparedState(const api_internal::PreparedState& state,
-                                   uint64_t doc_fp, uint64_t query_fp,
-                                   BundleCodec codec) {
+                                   uint64_t doc_fp, uint64_t query_fp) {
   const Slp& slp = state.prepared.slp();
   const EvalTables& tables = state.prepared.tables();
   const uint32_t q = tables.q();
-  const bool v1 = codec == BundleCodec::kV1;
 
   BundleWriter payload;
-  if (v1) {
-    WriteGrammar(slp, &payload);
-  } else {
-    WriteGrammarV2(slp, codec, &payload);
-  }
+  WriteGrammar(slp, &payload);
   payload.U32(q);
-  if (v1) {
-    WriteMatrixPool(tables, q, &payload);
-  } else {
-    WriteMatrixPoolV2(tables, q, codec, &payload);
-  }
+  WriteMatrixPool(tables, q, &payload);
   uint32_t num_leaves = 0;
   for (NtId a = 0; a < slp.NumNonTerminals(); ++a) num_leaves += slp.IsLeaf(a);
   payload.U32(num_leaves);
   for (NtId a = 0; a < slp.NumNonTerminals(); ++a) {
-    if (!slp.IsLeaf(a)) continue;
-    if (v1) {
-      WriteLeafGrid(slp, tables, a, q, &payload);
-    } else {
-      WriteLeafGridV2(slp, tables, a, q, codec, &payload);
-    }
+    if (slp.IsLeaf(a)) WriteLeafGrid(tables, a, q, &payload);
   }
 
   uint32_t flags = 0;
   if (const CountTables* counter = state.CounterIfReady()) {
     flags |= kBundleFlagHasCounter;
-    if (v1) {
-      WriteCounter(*counter, &payload);
-    } else {
-      WriteCounterV2(*counter, codec, &payload);
-    }
+    WriteCounter(*counter, &payload);
   }
-  return SealBundle(v1 ? kBundleVersionV1 : kBundleVersion, flags, doc_fp,
-                    query_fp, payload.TakeBuffer());
+  return SealBundle(flags, doc_fp, query_fp, payload.TakeBuffer());
 }
 
 Result<StatePtr> DeserializePreparedState(
@@ -817,11 +663,10 @@ Result<StatePtr> DeserializePreparedState(
         "bundle was built for a different query (fingerprint mismatch)");
   }
 
-  const uint32_t version = header->version;
-  const bool coded = version >= 2;
+  const bool v1 = header->version == kBundleVersionV1;
   BundleReader reader(data + kBundleHeaderSize, header->payload_size);
 
-  Result<Slp> slp = coded ? ReadGrammarV2(&reader) : ReadGrammar(&reader);
+  Result<Slp> slp = v1 ? ReadGrammarV1(&reader) : ReadGrammar(&reader);
   if (!slp.ok()) return slp.status();
 
   uint32_t q = 0;
@@ -833,7 +678,7 @@ Result<StatePtr> DeserializePreparedState(
   const uint32_t n = slp->NumNonTerminals();
   std::vector<BoolMatrix> pool;
   std::vector<uint32_t> u_idx, w_idx;
-  st = ReadMatrixPool(&reader, version, n, q, &pool, &u_idx, &w_idx);
+  st = ReadMatrixPool(&reader, v1, n, q, &pool, &u_idx, &w_idx);
   if (!st.ok()) return st;
   uint32_t num_leaves = 0;
   st = reader.U32(&num_leaves);
@@ -843,7 +688,8 @@ Result<StatePtr> DeserializePreparedState(
   }
   std::vector<LeafGrid> leaf_cells(num_leaves);
   for (uint32_t l = 0; l < num_leaves; ++l) {
-    st = ReadLeafGrid(&reader, q, coded, &leaf_cells[l]);
+    st = v1 ? ReadLeafGridV1(&reader, q, &leaf_cells[l])
+            : ReadLeafGrid(&reader, q, &leaf_cells[l]);
     if (!st.ok()) return st;
   }
   Result<EvalTables> tables =
@@ -863,14 +709,14 @@ Result<StatePtr> DeserializePreparedState(
   if ((header->flags & kBundleFlagHasCounter) != 0) {
     counter_section.assign(reinterpret_cast<const char*>(reader.cursor()),
                            reader.remaining());
-    loader = [coded](const Slp& bound_slp, const Nfa& nfa,
+    loader = [v1](const Slp& bound_slp, const Nfa& nfa,
                      const EvalTables& bound_tables,
                      const std::string& section) -> std::optional<CountTables> {
       BundleReader counter_reader(
           reinterpret_cast<const uint8_t*>(section.data()), section.size());
       Result<CountTables::Parts> parts =
-          coded ? ReadCounterPartsV2(&counter_reader)
-                : ReadCounterParts(&counter_reader);
+          v1 ? ReadCounterPartsV1(&counter_reader)
+             : ReadCounterParts(&counter_reader);
       if (!parts.ok()) return std::nullopt;
       Result<CountTables> counter = CountTables::FromParts(
           bound_slp, nfa, bound_tables, std::move(parts).value());
@@ -918,10 +764,8 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
 
 Status WritePreparedBundleFile(const std::string& path,
                                const api_internal::PreparedState& state,
-                               uint64_t doc_fp, uint64_t query_fp,
-                               BundleCodec codec) {
-  return WriteFileAtomic(path,
-                         SerializePreparedState(state, doc_fp, query_fp, codec));
+                               uint64_t doc_fp, uint64_t query_fp) {
+  return WriteFileAtomic(path, SerializePreparedState(state, doc_fp, query_fp));
 }
 
 Result<StatePtr> LoadPreparedBundleFile(

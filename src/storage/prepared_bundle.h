@@ -3,29 +3,26 @@
 // they have materialized — the counting tables, sealed in the checksummed
 // container of bundle_format.h.
 //
-// Section encodings (inside the payload):
+// Sections of the payload, in order:
 //
-//   [grammar]   num_nts u32, root u32, then per non-terminal
-//               left u32, right u32 (right == 0xFFFFFFFF marks a leaf whose
-//               terminal symbol is `left`). Ids are preserved verbatim —
-//               deserialization goes through Slp::FromRules, not the
-//               renumbering CnfAssembler — so the tables stay aligned.
-//   [tables]    q u32, then per non-terminal the U and W bit-matrices, then
-//               the per-leaf M_Tx cell grids. Matrices and grids carry a
-//               1-byte format tag choosing dense or sparse encoding,
-//               whichever is smaller — the U/W matrices of real documents
-//               are mostly zero words, which shrinks bundles by an order of
-//               magnitude and is what makes warm-from-disk ≫ re-prepare.
+//   [grammar]   the rules with their ids preserved verbatim — deserialization
+//               goes through Slp::FromRules, not the renumbering
+//               CnfAssembler — so the tables stay aligned.
+//   [tables]    q, the pool of distinct U/W bit-matrices, the per-nt indexes
+//               into it, then the per-leaf M_Tx cell grids. Each matrix and
+//               grid takes the smaller of a dense and a sparse layout: the
+//               U/W matrices of real documents are mostly zero words, which
+//               shrinks bundles by an order of magnitude and is what makes
+//               warm-from-disk ≫ re-prepare.
 //   [counter]   (optional, header flag) the CountTables snapshot: key-sorted
 //               packed-triple counts, final states, total, overflow bit.
 //
-// That is the v1 layout, still written under BundleCodec::kV1 and readable
-// forever. Format v2 (the default) keeps the same section order but routes
-// every integer stream through the codec layer (src/storage/codec/) behind
-// per-section tags: a compact delta-varint grammar, dense-coded /
-// sparse-coded matrices and grids (Elias-Fano positions, bitpacked or
-// VarintGB payloads), and packed counter streams. The reader always follows
-// the tags in the file; docs/STORAGE_CODECS.md has the byte-level map.
+// Every bundle is written in format v2: a compact delta-varint grammar and
+// every integer stream bitpacked behind a tag byte (src/storage/codec/).
+// The reader also accepts the frozen format v1 (fixed-width raw sections);
+// in v2 it accepts only the layouts this writer produces, so v2 bundles
+// from older builds that used a retired stream codec fail as kCorruption.
+// docs/STORAGE_CODECS.md has the byte-level map of both formats.
 //
 // Deserialization is strictly bounds-checked (see bundle_format.h) and
 // returns Status errors — kCorruption for damaged input, kInvalidArgument
@@ -42,7 +39,6 @@
 #include <string>
 
 #include "api/internal.h"
-#include "slpspan/bundle_codec.h"
 #include "util/status.h"
 
 namespace slpspan {
@@ -51,12 +47,9 @@ namespace storage {
 using StatePtr = std::shared_ptr<const api_internal::PreparedState>;
 
 /// Serializes `state` (grammar + tables + counter-if-materialized) into a
-/// sealed bundle image. `codec` picks the section encoding: kV1 reproduces
-/// the legacy format byte-for-byte, everything else writes format v2 with
-/// the requested codec preference (kAuto: smallest per stream).
+/// sealed format-v2 bundle image.
 std::string SerializePreparedState(const api_internal::PreparedState& state,
-                                   uint64_t doc_fp, uint64_t query_fp,
-                                   BundleCodec codec = BundleCodec::kAuto);
+                                   uint64_t doc_fp, uint64_t query_fp);
 
 /// Deserializes a bundle image. The expected fingerprints come from the
 /// (document, query) pair the caller wants to serve; a mismatch is
@@ -80,8 +73,7 @@ Status WriteFileAtomic(const std::string& path, const std::string& bytes);
 /// Atomic bundle file write: SerializePreparedState + WriteFileAtomic.
 Status WritePreparedBundleFile(const std::string& path,
                                const api_internal::PreparedState& state,
-                               uint64_t doc_fp, uint64_t query_fp,
-                               BundleCodec codec = BundleCodec::kAuto);
+                               uint64_t doc_fp, uint64_t query_fp);
 
 /// mmap-backed bundle file read (see mmap_file.h) + DeserializePreparedState.
 Result<StatePtr> LoadPreparedBundleFile(

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -83,6 +84,26 @@ size_t CountBundles(const std::string& dir) {
     n += e.path().extension() == ".prep";
   }
   return n;
+}
+
+std::string DataPath(const std::string& name) {
+  return (fs::path(__FILE__).parent_path() / "data" / name).string();
+}
+
+// The document and query of the tests/data/ bundles.
+constexpr char kGoldenText[] = "abccaabccaabccabbacbacabbacc";
+constexpr char kGoldenPattern[] = ".*x{a}y{b?cc*}.*";
+
+// The golden document as `slpspan compress` + `slpspan prepare` see it: the
+// .slp round trip renumbers the grammar, so its fingerprint differs from
+// that of the grammar Document::FromText builds.
+DocumentPtr GoldenDocumentViaSlpFile() {
+  const std::string path = TempPath("golden.slp");
+  SLPSPAN_CHECK((*Document::FromText(kGoldenText))->Save(path).ok());
+  Result<DocumentPtr> doc = Document::FromSlpFile(path);
+  SLPSPAN_CHECK(doc.ok());
+  std::remove(path.c_str());
+  return *doc;
 }
 
 // ------------------------------------------------------------ round trip ----
@@ -371,30 +392,46 @@ TEST(SpillTier, ByteBudgetReclaimsLeastRecentlyUsedBundles) {
   EXPECT_EQ(CountBundles(dir), stats.spill_entries);
 }
 
-TEST(SpillTier, CorruptSpilledBundleFallsBackToBuild) {
+// Spills `doc`'s prepared state, rewrites the spilled bundle with
+// `damage`, then checks that the next lookup rejects the bundle, deletes it
+// and rebuilds the right count.
+void ExpectDamagedSpillIsRebuilt(
+    const DocumentPtr& doc,
+    const std::function<std::string(std::string)>& damage) {
   RuntimeGuard guard;
   const std::string dir = FreshDir("spill_corrupt");
   ASSERT_TRUE(Runtime::ConfigureSpill(
                   {.directory = dir, .synchronous = true})
                   .ok());
-  const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
-  const DocumentPtr doc = *Document::FromText("abccaabccaabcca");
+  const Query query = MustCompile(kGoldenPattern, "abc");
   const uint64_t count = Engine(query, doc).Count()->value;
   Runtime::SetCacheByteBudget(0);
   ASSERT_EQ(1u, CountBundles(dir));
 
-  // Damage the spilled bundle in place.
   for (const fs::directory_entry& e : fs::directory_iterator(dir)) {
-    std::string bytes = ReadFile(e.path().string());
-    bytes[bytes.size() / 2] ^= 0x5A;
-    WriteFile(e.path().string(), bytes);
+    if (e.path().extension() != ".prep") continue;
+    WriteFile(e.path().string(), damage(ReadFile(e.path().string())));
   }
   Runtime::SetCacheByteBudget(kDefaultBudget);
 
-  // The lookup must reject the bundle, delete it, and rebuild correctly.
   const DocumentPtr again = Document::FromSlp(doc->slp());
   EXPECT_EQ(count, Engine(query, again).Count()->value);
   EXPECT_EQ(0u, CountBundles(dir)) << "corrupt bundles are deleted on sight";
+}
+
+TEST(SpillTier, CorruptSpilledBundleFallsBackToBuild) {
+  // A byte flipped in place.
+  ExpectDamagedSpillIsRebuilt(*Document::FromText("abccaabccaabcca"),
+                              [](std::string bytes) {
+                                bytes[bytes.size() / 2] ^= 0x5A;
+                                return bytes;
+                              });
+  // An intact v2 bundle an older build wrote for the same pair with a
+  // since-retired stream codec.
+  const std::string retired = ReadFile(DataPath("retired_auto_v2.prep"));
+  ASSERT_FALSE(retired.empty());
+  ExpectDamagedSpillIsRebuilt(GoldenDocumentViaSlpFile(),
+                              [&](std::string) { return retired; });
 }
 
 // ------------------------------------------------- admission + recharge ----
@@ -539,28 +576,11 @@ TEST(SpillIndex, CorruptOrStaleIndexFallsBackToStatWalk) {
   EXPECT_FALSE((*stale)->Contains(8, 70));
 }
 
-// ----------------------------------------------------------------- codecs ----
+// ---------------------------------------------------------------- format ----
 
-constexpr BundleCodec kAllCodecs[] = {
-    BundleCodec::kV1,      BundleCodec::kRaw,       BundleCodec::kVarintGB,
-    BundleCodec::kBitPack, BundleCodec::kEliasFano, BundleCodec::kAuto};
-
-const char* CodecName(BundleCodec c) {
-  switch (c) {
-    case BundleCodec::kV1: return "v1";
-    case BundleCodec::kRaw: return "raw";
-    case BundleCodec::kVarintGB: return "varintgb";
-    case BundleCodec::kBitPack: return "bitpack";
-    case BundleCodec::kEliasFano: return "eliasfano";
-    case BundleCodec::kAuto: return "auto";
-  }
-  return "?";
-}
-
-// Codec axis on the round-trip property: every codec choice must load back
-// to behavior identical to the in-memory preparation, and the default
-// (kAuto) must write strictly smaller bundles than the legacy v1 format.
-TEST(BundleCodecs, EveryCodecChoiceRoundTripsIdentically) {
+// Every bundle must load back to behavior identical to the in-memory
+// preparation.
+TEST(BundleFormat, BitpackRoundTripsIdentically) {
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
   Rng rng(20260808);
   const std::string text = RandomText(&rng, 200, 400);
@@ -568,66 +588,48 @@ TEST(BundleCodecs, EveryCodecChoiceRoundTripsIdentically) {
   const Engine fresh(query, original);
   const uint64_t count = fresh.Count()->value;
 
-  uint64_t v1_bytes = 0, auto_bytes = 0;
-  for (const BundleCodec codec : kAllCodecs) {
-    const std::string path =
-        TempPath(std::string("codec_axis_") + CodecName(codec) + ".prep");
-    ASSERT_TRUE(original->SavePrepared(query, path, nullptr, codec).ok())
-        << CodecName(codec);
-    const uint64_t bytes = fs::file_size(path);
-    if (codec == BundleCodec::kV1) v1_bytes = bytes;
-    if (codec == BundleCodec::kAuto) auto_bytes = bytes;
-
-    const DocumentPtr reloaded = Document::FromSlp(original->slp());
-    ASSERT_TRUE(reloaded->LoadPrepared(query, path).ok()) << CodecName(codec);
-    const Engine warm(query, reloaded);
-    EXPECT_EQ(fresh.IsNonEmpty(), warm.IsNonEmpty()) << CodecName(codec);
-    EXPECT_EQ(count, warm.Count()->value) << CodecName(codec);
-    ExpectSameTupleSet(fresh.ExtractAll(), warm.ExtractAll());
-    if (count > 0) {
-      EXPECT_EQ(*fresh.At(count - 1), *warm.At(count - 1)) << CodecName(codec);
-    }
-    EXPECT_EQ(0u, reloaded->cache_stats().misses) << CodecName(codec);
-    std::remove(path.c_str());
+  const std::string path = TempPath("bitpack_roundtrip.prep");
+  ASSERT_TRUE(original->SavePrepared(query, path).ok());
+  const DocumentPtr reloaded = Document::FromSlp(original->slp());
+  ASSERT_TRUE(reloaded->LoadPrepared(query, path).ok());
+  const Engine warm(query, reloaded);
+  EXPECT_EQ(fresh.IsNonEmpty(), warm.IsNonEmpty());
+  EXPECT_EQ(count, warm.Count()->value);
+  ExpectSameTupleSet(fresh.ExtractAll(), warm.ExtractAll());
+  if (count > 0) {
+    EXPECT_EQ(*fresh.At(count - 1), *warm.At(count - 1));
   }
-  ASSERT_GT(v1_bytes, 0u);
-  ASSERT_GT(auto_bytes, 0u);
-  EXPECT_LT(auto_bytes, v1_bytes) << "compression must not regress";
+  EXPECT_EQ(0u, reloaded->cache_stats().misses);
+  std::remove(path.c_str());
 }
 
-// Save -> Load -> Save must reproduce the file byte-for-byte under every
-// codec: the loaded state carries exactly the information the bundle did,
-// and every writer is deterministic.
-TEST(BundleCodecs, ReserializeIsBitIdenticalPerCodec) {
+// Save -> Load -> Save must reproduce the file byte-for-byte: the loaded
+// state carries exactly the information the bundle did, and the writer is
+// deterministic.
+TEST(BundleFormat, ReserializeIsBitIdentical) {
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
-  const DocumentPtr original =
-      *Document::FromText("abccaabccaabccabbacbacabbacc");
-  for (const BundleCodec codec : kAllCodecs) {
-    const std::string path1 = TempPath("bitident1.prep");
-    const std::string path2 = TempPath("bitident2.prep");
-    ASSERT_TRUE(original->SavePrepared(query, path1, nullptr, codec).ok());
-    const DocumentPtr reloaded = Document::FromSlp(original->slp());
-    ASSERT_TRUE(reloaded->LoadPrepared(query, path1).ok());
-    ASSERT_TRUE(reloaded->SavePrepared(query, path2, nullptr, codec).ok());
-    EXPECT_EQ(ReadFile(path1), ReadFile(path2)) << CodecName(codec);
-    std::remove(path1.c_str());
-    std::remove(path2.c_str());
-  }
+  const DocumentPtr original = *Document::FromText(kGoldenText);
+  const std::string path1 = TempPath("bitident1.prep");
+  const std::string path2 = TempPath("bitident2.prep");
+  ASSERT_TRUE(original->SavePrepared(query, path1).ok());
+  const DocumentPtr reloaded = Document::FromSlp(original->slp());
+  ASSERT_TRUE(reloaded->LoadPrepared(query, path1).ok());
+  ASSERT_TRUE(reloaded->SavePrepared(query, path2).ok());
+  EXPECT_EQ(ReadFile(path1), ReadFile(path2));
+  std::remove(path1.c_str());
+  std::remove(path2.c_str());
 }
 
-// Differential v1/v2 compatibility: a golden v1 bundle produced by the
-// pre-codec writer is checked into the repository and must stay loadable —
-// with identical results — forever. Regenerate (only if the *v1* format
-// legitimately changes, which it must not) with:
-//   slpspan compress <(printf 'abccaabccaabccabbacbacabbacc') /tmp/g.slp
-//   slpspan prepare /tmp/g.slp '.*x{a}y{b?cc*}.*' --alphabet=abc \
-//           --codec=v1 -o tests/data/golden_v1.prep
-TEST(BundleCodecs, GoldenV1FixtureStaysReadable) {
-  const std::string golden =
-      fs::path(__FILE__).parent_path() / "data" / "golden_v1.prep";
+// Differential v1/v2 compatibility: golden_v1.prep, written by the
+// pre-codec writer for the grammar Document::FromText builds, must stay
+// loadable with identical results forever. The fixture is frozen: no
+// build writes format v1 any more, so it can never be regenerated.
+// Re-saving its loaded state writes format v2, which must be smaller.
+TEST(BundleFormat, GoldenV1FixtureStaysReadable) {
+  const std::string golden = DataPath("golden_v1.prep");
   ASSERT_TRUE(fs::exists(golden)) << golden << " missing from the repo";
-  const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
-  const DocumentPtr doc = *Document::FromText("abccaabccaabccabbacbacabbacc");
+  const Query query = MustCompile(kGoldenPattern, "abc");
+  const DocumentPtr doc = *Document::FromText(kGoldenText);
   ASSERT_TRUE(doc->LoadPrepared(query, golden).ok())
       << "v1 bundles must stay readable byte-for-byte";
   const Engine warm(query, doc);
@@ -636,13 +638,59 @@ TEST(BundleCodecs, GoldenV1FixtureStaysReadable) {
   EXPECT_EQ(fresh.Count()->value, warm.Count()->value);
   ExpectSameTupleSet(fresh.ExtractAll(), warm.ExtractAll());
   EXPECT_EQ(0u, doc->cache_stats().misses);
+
+  const std::string resaved = TempPath("golden_v1_resaved.prep");
+  ASSERT_TRUE(doc->SavePrepared(query, resaved).ok());
+  EXPECT_LT(fs::file_size(resaved), fs::file_size(golden))
+      << "compression must not regress";
+  std::remove(resaved.c_str());
+}
+
+// Pins the one writer: golden_v2.prep was written by the last build that
+// offered a choice of stream codecs, with its codec flag set to bitpack, by
+//   slpspan compress <(printf 'abccaabccaabccabbacbacabbacc') g.slp
+//   slpspan prepare g.slp '.*x{a}y{b?cc*}.*' --alphabet=abc
+//           -o tests/data/golden_v2.prep
+// It must load with identical results, and both a fresh build and the
+// loaded state must save back to exactly the fixture's bytes.
+TEST(BundleFormat, GoldenV2FixtureRoundTripsByteForByte) {
+  const std::string golden = DataPath("golden_v2.prep");
+  ASSERT_TRUE(fs::exists(golden)) << golden << " missing from the repo";
+  const Query query = MustCompile(kGoldenPattern, "abc");
+  const DocumentPtr doc = GoldenDocumentViaSlpFile();
+  ASSERT_TRUE(doc->LoadPrepared(query, golden).ok());
+  const Engine warm(query, doc);
+  const DocumentPtr fresh_doc = Document::FromSlp(doc->slp());
+  const Engine fresh(query, fresh_doc);
+  EXPECT_EQ(fresh.Count()->value, warm.Count()->value);
+  ExpectSameTupleSet(fresh.ExtractAll(), warm.ExtractAll());
+  EXPECT_EQ(0u, doc->cache_stats().misses);
+
+  const std::string resaved = TempPath("golden_v2_resaved.prep");
+  const std::string expected = ReadFile(golden);
+  ASSERT_TRUE(doc->SavePrepared(query, resaved).ok());
+  EXPECT_EQ(expected, ReadFile(resaved)) << "save after load";
+  ASSERT_TRUE(fresh_doc->SavePrepared(query, resaved).ok());
+  EXPECT_EQ(expected, ReadFile(resaved)) << "save after a fresh build";
+  std::remove(resaved.c_str());
+}
+
+// retired_auto_v2.prep is the same pair written by that build under its
+// default codec choice, which mixed group-varint (tag 1) and Elias-Fano
+// (tag 3) streams in with bitpacked ones. The reader refuses it as corrupt.
+TEST(BundleFormat, RetiredCodecBundleIsCorruption) {
+  const Query query = MustCompile(kGoldenPattern, "abc");
+  const DocumentPtr doc = GoldenDocumentViaSlpFile();
+  const Status st = doc->LoadPrepared(query, DataPath("retired_auto_v2.prep"));
+  EXPECT_EQ(StatusCode::kCorruption, st.code()) << st.ToString();
+  EXPECT_NE(std::string::npos, st.message().find("codec tag")) << st.ToString();
 }
 
 // Structured fuzz over the v2 section decoders: mutate payload bytes and
 // re-seal the checksum so corruption reaches the section parsers (the
 // checksum would otherwise reject everything first). Decoding must return
 // a Status — never crash, hang or read out of bounds. Runs under ASan in CI.
-TEST(BundleCodecs, ResealedPayloadMutationsNeverCrash) {
+TEST(BundleFormat, ResealedPayloadMutationsNeverCrash) {
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
   const DocumentPtr doc = *Document::FromText("abccaabccaabccabbacbacabbacc");
   const std::string path = TempPath("reseal.prep");
@@ -705,10 +753,9 @@ TEST(BundleCodecs, ResealedPayloadMutationsNeverCrash) {
   }
 }
 
-// Spill accounting regression: the write-behind tier serializes with the
-// default codec (kAuto), and its byte budget is charged with *encoded*
-// sizes — so a budget sized for two uncompressed (v1) bundles must admit
-// strictly more compressed ones.
+// Spill accounting regression: the write-behind tier's byte budget is
+// charged with *encoded* bundle sizes, not with the entries' resident
+// bytes — so a budget sized for ~2.2 resident entries must admit more.
 TEST(SpillTier, CompressedBundlesAdmitMoreUnderSameBudget) {
   RuntimeGuard guard;
   const Query query = MustCompile(".*x{a}y{b?cc*}.*", "abc");
@@ -719,27 +766,26 @@ TEST(SpillTier, CompressedBundlesAdmitMoreUnderSameBudget) {
       GenerateLog({.lines = 30, .seed = 54}),
   };
 
-  // Size the uncompressed (v1) and default (auto) bundle for each text.
-  uint64_t max_v1 = 0, max_auto = 0;
+  // Size each entry as the RAM cache charges it (tables plus counting
+  // tables) and as its bundle encodes it.
+  uint64_t max_resident = 0, max_encoded = 0;
   for (const std::string& text : texts) {
     const DocumentPtr doc = *Document::FromText(text);
+    ASSERT_TRUE(Engine(query, doc).Count().ok());
+    max_resident = std::max<uint64_t>(max_resident, doc->cache_stats().bytes);
     const std::string path = TempPath("admit_probe.prep");
-    ASSERT_TRUE(
-        doc->SavePrepared(query, path, nullptr, BundleCodec::kV1).ok());
-    max_v1 = std::max<uint64_t>(max_v1, fs::file_size(path));
     ASSERT_TRUE(doc->SavePrepared(query, path).ok());
-    max_auto = std::max<uint64_t>(max_auto, fs::file_size(path));
+    max_encoded = std::max<uint64_t>(max_encoded, fs::file_size(path));
     std::remove(path.c_str());
   }
-  ASSERT_GT(max_v1, 0u);
-  // The compression bar this satellite rides on (bench E17 enforces the
-  // corpus-level 1.5x): without it the admission claim below is vacuous.
-  EXPECT_GE(max_v1, max_auto * 3 / 2);
+  ASSERT_GT(max_encoded, 0u);
+  // Without this gap the admission claim below is vacuous.
+  EXPECT_GE(max_resident, max_encoded * 3 / 2);
 
-  // Budget for ~2.2 uncompressed bundles; spill all four documents.
+  // Budget for ~2.2 resident entries; spill all four documents.
   const std::string dir = FreshDir("spill_admit");
   ASSERT_TRUE(Runtime::ConfigureSpill({.directory = dir,
-                                       .byte_budget = max_v1 * 11 / 5,
+                                       .byte_budget = max_resident * 11 / 5,
                                        .synchronous = true})
                   .ok());
   Runtime::SetCacheByteBudget(0);
@@ -750,8 +796,8 @@ TEST(SpillTier, CompressedBundlesAdmitMoreUnderSameBudget) {
   Runtime::SetCacheByteBudget(kDefaultBudget);
   const Runtime::CacheStats stats = Runtime::cache_stats();
   EXPECT_GE(CountBundles(dir), 3u)
-      << "encoded-size accounting must admit more compressed bundles than "
-         "the uncompressed sizes would allow";
+      << "encoded-size accounting must admit more bundles than the "
+         "resident sizes would allow";
   EXPECT_LE(stats.spill_bytes, stats.spill_budget_bytes);
 }
 

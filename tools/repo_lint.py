@@ -41,12 +41,10 @@ unchecked-result-value
 
 avx2-outside-kernels
     AVX2 intrinsics (immintrin.h, _mm256_*, __m256i) may appear only under
-    src/core/kernels/ or in src/storage/codec/bitpack_avx2.cc — the TUs
-    compiled with -mavx2 and guarded by runtime CPUID dispatch (the codec
-    TU piggybacks on the kernels' ActiveKernel() selection). An intrinsic
-    anywhere else either fails to compile (no -mavx2 on that TU) or,
-    worse, compiles and faults on non-AVX2 hosts because it bypasses the
-    dispatcher.
+    src/core/kernels/ — the layer compiled with -mavx2 and guarded by
+    runtime CPUID dispatch. An intrinsic anywhere else either fails to
+    compile (no -mavx2 on that TU) or, worse, compiles and faults on
+    non-AVX2 hosts because it bypasses the dispatcher.
 
 raw-socket-outside-net
     Socket and epoll system interfaces (<sys/socket.h>, <sys/epoll.h>,
@@ -58,18 +56,17 @@ raw-socket-outside-net
 catalog-io-outside-storage-corpus
     The checksummed on-disk container surface — the bundle/catalog magics,
     Checksum64, SealBundle/OpenBundle, WriteFileAtomic, the spill-index
-    file name, and the bundle-codec section surface (WriteTaggedU64s/
-    ReadTaggedU64s/CodecById) — may appear only under src/storage/ and
-    src/corpus/. Other
-    layers read and write those files through the typed APIs (bundle
-    round-trips, Catalog::Serialize/Deserialize, SpillStore), so every
-    byte-level format decision and its corruption handling stays in two
-    audited directories. (BundleWriter/BundleReader as pure in-memory
+    file name, and the bundle stream surface (WriteTaggedU64s/
+    ReadTaggedU64s) — may appear only under src/storage/ and
+    src/corpus/. Other layers read and write those files through the
+    typed APIs (bundle round-trips, Catalog::Serialize/Deserialize,
+    SpillStore), so every byte-level format decision and its corruption
+    handling stays in two audited directories. (BundleWriter/BundleReader as pure in-memory
     codecs are fine anywhere — the net framing reuses them — it is the
-    *file container* surface that is fenced.) The codec tokens keep raw
-    section encoding behind the Codec interface: a layer hand-rolling a
-    tagged stream would bypass the bounds-checking contract the codec
-    decoders enforce.
+    *file container* surface that is fenced.) The stream tokens keep
+    section encoding inside the storage layer: a layer hand-rolling a
+    tagged stream would bypass the bounds-checking contract the stream
+    decoder enforces.
 
 docs-presence
     docs/ARCHITECTURE.md, docs/PREPARATION.md, docs/STATIC_ANALYSIS.md,
@@ -126,7 +123,7 @@ CATALOG_IO_RE = re.compile(
     r"\bkBundleMagic\b|\bkCatalogMagic\b|\bChecksum64\s*\(|"
     r"\bSealBundle\s*\(|\bOpenBundle\s*\(|\bWriteFileAtomic\s*\(|"
     r"\bkSpillIndexFileName\b|\bWriteTaggedU64s\s*\(|"
-    r"\bReadTaggedU64s\s*\(|\bCodecById\s*\(")
+    r"\bReadTaggedU64s\s*\(")
 
 RAW_SOCKET_RE = re.compile(
     r"<sys/socket\.h>|<sys/epoll\.h>|<netinet/|<arpa/inet\.h>|"
@@ -259,8 +256,7 @@ def check_avx2_outside_kernels(root, findings):
     rule = "avx2-outside-kernels"
     for path in list_source_files(root):
         rel = relpath(root, path)
-        if (rel.startswith("src/core/kernels/") or
-                rel == "src/storage/codec/bitpack_avx2.cc"):
+        if rel.startswith("src/core/kernels/"):
             continue
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, 1):
@@ -367,7 +363,7 @@ SEEDED = {
     "catalog-io-outside-storage-corpus": (
         "src/runtime/seeded_catalog.cc",
         "// seeded self-test file\n"
-        "void F() { storage::codec::WriteTaggedU64s(v, n, c, k, w); }\n"),
+        "void F() { storage::codec::WriteTaggedU64s(v, n, w); }\n"),
     "docs-presence": (None, None),  # tested by simply omitting the docs
 }
 

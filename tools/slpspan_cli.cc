@@ -12,7 +12,6 @@
 //   slpspan check     <in.slp> <pattern> (non-emptiness only)
 //   slpspan prepare   <in.slp> <pattern> (-o bundle.prep | --spill-dir=DIR)
 //                     [--alphabet=...] [--threads=N] [--verbose] [--naive]
-//                     [--codec=auto|v1|raw|varintgb|bitpack|eliasfano]
 //   slpspan batch     <manifest> [--threads=N] [--cache-mb=M] [--alphabet=...]
 //                     [--spill-dir=DIR] [--spill-mb=M] [--async]
 //                     [--deadline-ms=T]
@@ -122,8 +121,6 @@ int Usage() {
                "  slpspan prepare <in.slp> <pattern> (-o out.prep | "
                "--spill-dir=DIR) [--alphabet=CHARS]\n"
                "                  [--threads=N] [--verbose] [--naive]\n"
-               "                  [--codec=auto|v1|raw|varintgb|bitpack|"
-               "eliasfano]\n"
                "  slpspan batch <manifest> [--threads=N] [--cache-mb=M] "
                "[--alphabet=CHARS] [--spill-dir=DIR] [--spill-mb=M]\n"
                "                [--async] [--deadline-ms=T]\n"
@@ -173,7 +170,6 @@ struct Flags {
   bool rebalance = false;
   bool verbose = false;      // prepare: print PrepareStats
   bool naive = false;        // prepare: disable product memoization
-  std::string codec = "auto";  // prepare: bundle section encoding
   bool parse_error = false;
   std::vector<std::string> positional;
 };
@@ -252,8 +248,6 @@ Flags ParseFlags(int argc, char** argv) {
       flags.verbose = true;
     } else if (arg == "--naive") {
       flags.naive = true;
-    } else if (arg.rfind("--codec=", 0) == 0) {
-      flags.codec = arg.substr(8);
     } else {
       flags.positional.push_back(arg);
     }
@@ -420,31 +414,12 @@ int CmdSample(const Flags& flags) {
 
 // --------------------------------------------------------------- prepare ----
 
-// Maps the --codec= spelling onto the public enum; nullopt on a typo.
-std::optional<BundleCodec> ParseCodec(const std::string& name) {
-  if (name == "auto") return BundleCodec::kAuto;
-  if (name == "v1") return BundleCodec::kV1;
-  if (name == "raw") return BundleCodec::kRaw;
-  if (name == "varintgb") return BundleCodec::kVarintGB;
-  if (name == "bitpack") return BundleCodec::kBitPack;
-  if (name == "eliasfano") return BundleCodec::kEliasFano;
-  return std::nullopt;
-}
-
 int CmdPrepare(const Flags& flags) {
   if (flags.positional.size() != 2) return Usage();
   if (flags.out.empty() == flags.spill_dir.empty()) {
     std::fprintf(stderr,
                  "prepare needs exactly one destination: -o/--out=PATH or "
                  "--spill-dir=DIR\n");
-    return 2;
-  }
-  const std::optional<BundleCodec> codec = ParseCodec(flags.codec);
-  if (!codec) {
-    std::fprintf(stderr,
-                 "unknown --codec=%s (expected auto, v1, raw, varintgb, "
-                 "bitpack or eliasfano)\n",
-                 flags.codec.c_str());
     return 2;
   }
   Result<DocumentPtr> doc = Document::FromSlpFile(flags.positional[0]);
@@ -476,7 +451,7 @@ int CmdPrepare(const Flags& flags) {
   // One preparation, observable stats: SavePrepared serializes exactly the
   // state it builds, even when the cache declines to retain it.
   PrepareStats stats;
-  Status st = (*doc)->SavePrepared(*query, path, &stats, *codec);
+  Status st = (*doc)->SavePrepared(*query, path, &stats);
   if (!st.ok()) return Fail(st);
   const double ms = MillisSince(start);
 
