@@ -31,7 +31,7 @@ int main() {
   // DNA sequences (alphabet acgt — no 'u', no '=': provably no match).
   for (int i = 0; i < 6; ++i) {
     const std::string text = GenerateLog(
-        {.lines = 400, .distinct_users = 9, .seed = 100 + i});
+        {.lines = 400, .distinct_users = 9, .seed = static_cast<uint64_t>(100 + i)});
     Result<DocumentPtr> doc = Document::FromText(text);
     if (!doc.ok()) return 1;
     const std::string path =

@@ -5,7 +5,7 @@
 //   3. Engine(query, doc) — run all four evaluation tasks *on the
 //      compressed document*: non-emptiness (IsNonEmpty), model checking
 //      (Matches), computation (ExtractAll), and streaming enumeration
-//      (Extract — constant-delay, early-exit capable).
+//      (Extract — O(depth(S)·|X|) delay, early-exit capable).
 //
 // Only include/slpspan/ headers are used; errors surface as Status values,
 // never as process aborts.

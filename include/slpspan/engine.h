@@ -5,7 +5,7 @@
 //   IsNonEmpty()  ⟦M⟧(D) ≠ ∅                Theorem 5.1(1), or F′ of the
 //                                           resident Lemma 6.5 tables
 //   Matches(t)    t ∈ ⟦M⟧(D)                Theorem 5.1(2)
-//   Extract()     stream ⟦M⟧(D)             Theorem 8.10 (constant delay)
+//   Extract()     stream ⟦M⟧(D)             Theorem 8.10 (O(depth(S)·|X|) delay)
 //   ExtractAll()  materialize ⟦M⟧(D)        Theorem 7.1
 //   Count()       |⟦M⟧(D)| w/o enumeration  counting extension (core/count.h)
 //   At(i)         i-th result, random access

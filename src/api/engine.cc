@@ -33,7 +33,7 @@ void ResultStream::Next() {
 const SpanTuple& ResultStream::Current() const {
   // Programmer contract: Current() on an exhausted stream is API misuse.
   SLPSPAN_CHECK(Valid());  // repo-lint: allow(check-in-library)
-  return state_->current;
+  return state_->enumerator.Current();
 }
 
 uint64_t ResultStream::num_emitted() const {

@@ -139,7 +139,6 @@ struct StreamState {
   CompressedEnumerator enumerator;
   std::optional<uint64_t> limit;
   std::function<bool()> cancel;  ///< polled at every stream step; see below
-  SpanTuple current;
   uint64_t emitted = 0;
   bool valid = false;
   bool cancelled = false;  ///< the cancel checkpoint fired (vs exhaustion)
@@ -159,7 +158,6 @@ struct StreamState {
     // once more before the enumerator's first-tuple search even starts).
     if (ShouldCancel()) return;
     if (enumerator.Valid() && (!limit || *limit > 0)) {
-      current = enumerator.Current();
       emitted = 1;
       valid = true;
     }
@@ -189,7 +187,6 @@ struct StreamState {
       valid = false;
       return;
     }
-    current = enumerator.Current();
     ++emitted;
   }
 };

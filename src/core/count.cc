@@ -239,47 +239,62 @@ MarkerSeq CountTables::Select(uint64_t idx) const {
     }
     idx -= c;
   }
+  // Explicit-stack descent (a chain grammar is one level per character, far
+  // deeper than a thread's stack). The left child is popped first, so the
+  // leaves emit their markers in ascending position order.
+  struct Frame {
+    NtId nt;
+    StateId i, j;
+    uint64_t idx;
+    uint64_t shift;
+  };
   std::vector<PosMark> out;
-  SelectInto(root, 0, j_final, idx, 0, &out);
-  return MarkerSeq(std::move(out));
-}
-
-void CountTables::SelectInto(NtId nt, StateId i, StateId j, uint64_t idx,
-                             uint64_t shift, std::vector<PosMark>* out) const {
-  switch (tables_->R(nt, i, j)) {
-    case RVal::kBot:
-      SLPSPAN_CHECK(false);
-      return;
-    case RVal::kEmpty:
-      SLPSPAN_DCHECK(idx == 0);
-      return;  // the single element is the empty marker set
-    case RVal::kOne:
-      break;
-  }
-  if (slp_->IsLeaf(nt)) {
-    const auto& cell = tables_->LeafCell(nt, i, j);
-    SLPSPAN_DCHECK(idx < cell.size());
-    if (cell[idx] != 0) out->push_back({shift + 1, cell[idx]});
-    return;
-  }
-  // Canonical order: ascending k (the K^k buckets are disjoint for a DFA),
-  // within a bucket left-index-major (Lemma 6.9 injectivity).
-  const NtId b = slp_->Left(nt), c = slp_->Right(nt);
-  bool done = false;
-  tables_->ForEachIntermediate(*slp_, nt, i, j, [&](StateId k) {
-    if (done) return;
-    const uint64_t cb = CountOf(b, i, k);
-    const uint64_t cc = CountOf(c, k, j);
-    const uint64_t bucket = cb * cc;  // exact: !overflow_ checked in Select
-    if (idx >= bucket) {
-      idx -= bucket;
-      return;
+  std::vector<Frame> stack{{root, 0, j_final, idx, 0}};
+  while (!stack.empty()) {
+    const Frame f = stack.back();
+    stack.pop_back();
+    switch (tables_->R(f.nt, f.i, f.j)) {
+      case RVal::kBot:
+        SLPSPAN_CHECK(false);
+        break;
+      case RVal::kEmpty:
+        SLPSPAN_DCHECK(f.idx == 0);
+        continue;  // the single element is the empty marker set
+      case RVal::kOne:
+        break;
     }
-    SelectInto(b, i, k, idx / cc, shift, out);
-    SelectInto(c, k, j, idx % cc, shift + slp_->Length(b), out);
-    done = true;
-  });
-  SLPSPAN_CHECK(done);
+    if (slp_->IsLeaf(f.nt)) {
+      const auto& cell = tables_->LeafCell(f.nt, f.i, f.j);
+      SLPSPAN_DCHECK(f.idx < cell.size());
+      if (cell[f.idx] != 0) out.push_back({f.shift + 1, cell[f.idx]});
+      continue;
+    }
+    // Canonical order: ascending k (the K^k buckets are disjoint for a DFA),
+    // within a bucket left-index-major (Lemma 6.9 injectivity).
+    const NtId b = slp_->Left(f.nt), c = slp_->Right(f.nt);
+    uint64_t rest = f.idx;
+    bool found = false;
+    tables_->ForEachIntermediate(*slp_, f.nt, f.i, f.j, [&](StateId k) {
+      if (found) return;
+      const uint64_t cb = CountOf(b, f.i, k);
+      const uint64_t cc = CountOf(c, k, f.j);
+      const uint64_t bucket = cb * cc;  // exact: !overflow_ checked above
+      if (rest >= bucket) {
+        rest -= bucket;
+        return;
+      }
+      // A child with R = ℮ contributes no marker: only R = 1 is descended.
+      if (tables_->W(c).Get(k, f.j)) {
+        stack.push_back({c, k, f.j, rest % cc, f.shift + slp_->Length(b)});
+      }
+      if (tables_->W(b).Get(f.i, k)) {
+        stack.push_back({b, f.i, k, rest / cc, f.shift});
+      }
+      found = true;
+    });
+    SLPSPAN_CHECK(found);
+  }
+  return MarkerSeq(std::move(out));
 }
 
 }  // namespace slpspan

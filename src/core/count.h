@@ -101,8 +101,6 @@ class CountTables {
   CountTables() = default;  // FromParts fills the members
 
   uint64_t CountOf(NtId nt, StateId i, StateId j) const;
-  void SelectInto(NtId nt, StateId i, StateId j, uint64_t idx, uint64_t shift,
-                  std::vector<PosMark>* out) const;
 
   const Slp* slp_;
   const Nfa* nfa_;

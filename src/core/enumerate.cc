@@ -2,56 +2,44 @@
 // Theorem 8.10 (see core/enumerate.h for the cursor structure).
 #include "core/enumerate.h"
 
+#include <algorithm>
+#include <bit>
+
 namespace slpspan {
 
 CompressedEnumerator::CompressedEnumerator(const Slp* slp, const Nfa* nfa,
                                            const EvalTables* tables,
                                            uint32_t num_vars)
     : slp_(slp),
-      nfa_(nfa),
-      tables_(tables),
-      num_vars_(num_vars),
-      tree_(slp, tables) {
-  final_states_ = tables_->AcceptingNonBot(*slp_, *nfa_);
+      tree_(slp, tables),
+      open_(num_vars),
+      close_(num_vars),
+      current_(num_vars) {
+  final_states_ = tables->AcceptingNonBot(*slp_, *nfa);
   // Position on the first (j, k) root pair, if any, and produce the first
   // tree / yield.
-  for (j_idx_ = 0; j_idx_ < final_states_.size(); ++j_idx_) {
-    cur_k_ = tree_.FirstK(slp_->root(), 0, final_states_[j_idx_]);
-    tree_.Init(slp_->root(), 0, final_states_[j_idx_], cur_k_);
-    StartTreeYields();
-    valid_ = true;
-    AssembleCurrent();
-    return;
-  }
-  valid_ = false;
+  if (final_states_.empty()) return;
+  cur_k_ = tree_.FirstK(slp_->root(), 0, final_states_[0]);
+  tree_.Init(slp_->root(), 0, final_states_[0], cur_k_);
+  StartTree();
+  valid_ = true;
 }
 
-void CompressedEnumerator::StartTreeYields() {
-  tree_.CollectTermLeaves(&leaves_);
-  slots_.clear();
-  slots_.reserve(leaves_.size());
-  for (const MTreeCursor::TermLeaf& leaf : leaves_) {
-    const std::vector<MarkerMask>& cell = tables_->LeafCell(leaf.nt, leaf.i, leaf.j);
-    SLPSPAN_DCHECK(!cell.empty());
-    slots_.push_back({&cell, 0, leaf.shift});
-  }
+void CompressedEnumerator::StartTree() {
+  pick_.assign(tree_.term_leaves().size(), 0);
+  AssembleCurrent();
 }
 
 bool CompressedEnumerator::AdvanceYield() {
-  // Rightmost slot spins fastest (the nested loops of Lemma 8.5).
-  for (size_t s = slots_.size(); s-- > 0;) {
-    if (++slots_[s].idx < slots_[s].list->size()) {
-      for (size_t t = s + 1; t < slots_.size(); ++t) slots_[t].idx = 0;
+  // Rightmost leaf spins fastest (the nested loops of Lemma 8.5).
+  const std::vector<MTreeCursor::TermLeaf>& leaves = tree_.term_leaves();
+  for (size_t s = pick_.size(); s-- > 0;) {
+    if (++pick_[s] < leaves[s].cell->size()) {
+      std::fill(pick_.begin() + static_cast<ptrdiff_t>(s) + 1, pick_.end(), 0);
       return true;
     }
   }
-  return false;  // all combinations emitted (or the tree had no slots)
-}
-
-bool CompressedEnumerator::AdvanceTree() {
-  if (!tree_.Advance()) return false;
-  StartTreeYields();
-  return true;
+  return false;  // all combinations emitted (or the tree had no leaves)
 }
 
 bool CompressedEnumerator::AdvanceRoot() {
@@ -61,41 +49,58 @@ bool CompressedEnumerator::AdvanceRoot() {
       cur_k_ = tree_.NextK(root, 0, final_states_[j_idx_], cur_k_);
       if (cur_k_ != kExhaustedK) {
         tree_.Init(root, 0, final_states_[j_idx_], cur_k_);
-        StartTreeYields();
         return true;
       }
     }
     if (++j_idx_ >= final_states_.size()) return false;
     cur_k_ = tree_.FirstK(root, 0, final_states_[j_idx_]);
     tree_.Init(root, 0, final_states_[j_idx_], cur_k_);
-    StartTreeYields();
     return true;
   }
 }
 
 void CompressedEnumerator::Next() {
   SLPSPAN_CHECK(valid_);
-  if (AdvanceYield() || AdvanceTree() || AdvanceRoot()) {
+  if (AdvanceYield()) {
     AssembleCurrent();
-    return;
+  } else if (tree_.Advance() || AdvanceRoot()) {
+    StartTree();
+  } else {
+    valid_ = false;
   }
-  valid_ = false;
 }
 
 void CompressedEnumerator::AssembleCurrent() {
-  std::vector<PosMark> entries;
-  entries.reserve(slots_.size());
-  for (const LeafSlot& slot : slots_) {
-    const MarkerMask mask = (*slot.list)[slot.idx];
-    if (mask != 0) entries.push_back({slot.shift + 1, mask});
+  std::fill(open_.begin(), open_.end(), 0);
+  std::fill(close_.begin(), close_.end(), 0);
+  const std::vector<MTreeCursor::TermLeaf>& leaves = tree_.term_leaves();
+  const uint32_t num_vars = static_cast<uint32_t>(open_.size());
+  uint64_t last_pos = 0;
+  for (size_t s = 0; s < leaves.size(); ++s) {
+    MarkerMask mask = (*leaves[s].cell)[pick_[s]];
+    if (mask == 0) continue;
+    const uint64_t pos = leaves[s].shift + 1;
+    SLPSPAN_CHECK(pos > last_pos);  // positions >= 1, strictly increasing
+    last_pos = pos;
+    while (mask != 0) {
+      const int bit = std::countr_zero(mask);
+      mask &= mask - 1;
+      const VarId v = static_cast<VarId>(bit / 2);
+      SLPSPAN_CHECK(v < num_vars);  // marker for a known variable
+      uint64_t& slot = (bit % 2 == 0) ? open_[v] : close_[v];
+      SLPSPAN_CHECK(slot == 0);  // no duplicate marker
+      slot = pos;
+    }
   }
-  current_ = MarkerSeq(std::move(entries));
-}
-
-SpanTuple CompressedEnumerator::Current() const {
-  Result<SpanTuple> t = CurrentMarkers().ToTuple(num_vars_);
-  SLPSPAN_CHECK(t.ok());
-  return std::move(t).value();
+  for (VarId v = 0; v < num_vars; ++v) {
+    SLPSPAN_CHECK((open_[v] == 0) == (close_[v] == 0));  // no unmatched marker
+    if (open_[v] == 0) {
+      current_.Clear(v);
+      continue;
+    }
+    SLPSPAN_CHECK(open_[v] <= close_[v]);  // close not before open
+    current_.Set(v, Span{open_[v], close_[v]});
+  }
 }
 
 }  // namespace slpspan

@@ -7,7 +7,15 @@
 //                   precomputed total shifts              (EnumSingleTree).
 //
 // Preprocessing is the EvalTables construction, O(|M| + size(S)·q³); the
-// delay is O(depth(S)·|X|) — with a balanced SLP, O(log d · |X|).
+// delay is O(depth(S)·|X|) — with a balanced SLP, O(log d · |X|). A new tree
+// walks one root-to-leaf path of the current one and hands over its
+// terminal leaves as a maintained, shift-sorted list (core/mtree.h); a new
+// yield moves one odometer digit. The tuple is decoded straight from the
+// chosen marker masks into reused open/close buffers and a reused SpanTuple,
+// so the steady state allocates nothing per tuple. The decode keeps the
+// MarkerSeq/ToTuple invariants as always-on checks: positions ≥ 1 and
+// strictly increasing, no duplicate or unmatched marker, close not before
+// open.
 // Duplicate-freeness requires the automaton to be deterministic (Lemma 8.8);
 // with an NFA the enumeration is still correct but may repeat tuples.
 
@@ -19,8 +27,8 @@
 #include "core/mtree.h"
 #include "core/tables.h"
 #include "slp/slp.h"
-#include "spanner/marker.h"
 #include "spanner/nfa.h"
+#include "spanner/span.h"
 
 namespace slpspan {
 
@@ -36,39 +44,28 @@ class CompressedEnumerator {
   bool Valid() const { return valid_; }
   void Next();
 
-  const MarkerSeq& CurrentMarkers() const {
+  /// The current tuple; overwritten by the next Next().
+  const SpanTuple& Current() const {
     SLPSPAN_DCHECK(valid_);
     return current_;
   }
-  SpanTuple Current() const;
 
  private:
-  struct LeafSlot {
-    const std::vector<MarkerMask>* list;  // M_Tx[i,j], never empty
-    size_t idx;
-    uint64_t shift;
-  };
-
-  /// Loads the current tree's terminal leaves into slots_ (first yield).
-  void StartTreeYields();
-  bool AdvanceYield();          // odometer over slots_; false = tree done
-  bool AdvanceTree();           // next tree for current (j, k); false = done
-  bool AdvanceRoot();           // next (j, k); false = enumeration done
+  bool AdvanceYield();  // odometer over the leaves' picks; false = tree done
+  bool AdvanceRoot();   // next (j, k); false = enumeration done
+  void StartTree();     // first yield of the cursor's current tree
   void AssembleCurrent();
 
   const Slp* slp_;
-  const Nfa* nfa_;
-  const EvalTables* tables_;
-  uint32_t num_vars_;
 
   std::vector<StateId> final_states_;  // F'
   size_t j_idx_ = 0;
   int32_t cur_k_ = kExhaustedK;
 
   MTreeCursor tree_;
-  std::vector<MTreeCursor::TermLeaf> leaves_;
-  std::vector<LeafSlot> slots_;
-  MarkerSeq current_;
+  std::vector<uint32_t> pick_;  // per terminal leaf: index into M_Tx[i,j]
+  std::vector<uint64_t> open_, close_;  // per variable: position, 0 = none
+  SpanTuple current_;
   bool valid_ = false;
 };
 

@@ -2,8 +2,6 @@
 // Theorem 5.1(2): splice marker symbols into the SLP, then run membership.
 #include "core/model_check.h"
 
-#include <functional>
-
 #include "core/membership.h"
 #include "slp/factory.h"
 
@@ -32,24 +30,61 @@ Slp SpliceMarkers(const Slp& slp, const MarkerSeq& markers, SymbolTable* table) 
   // O(#entries * depth) path copies are fresh; untouched subtrees reuse the
   // imported rules. Marker position p marks the gap *before* document
   // position p, so entry p belongs to the left child iff p <= base + |D(B)|.
-  std::function<NtId(NtId, size_t, size_t, uint64_t)> splice =
-      [&](NtId nt, size_t lo, size_t hi, uint64_t base) -> NtId {
-    if (lo == hi) return imported[nt];
-    if (slp.IsLeaf(nt)) {
-      SLPSPAN_CHECK(hi - lo == 1 && entries[lo].pos == base + 1);
-      const NtId mask_leaf = a.Leaf(table->InternMask(entries[lo].marks));
-      return a.Pair(mask_leaf, imported[nt]);
-    }
-    const NtId b = slp.Left(nt), c = slp.Right(nt);
-    const uint64_t left_len = slp.Length(b);
-    size_t mid = lo;
-    while (mid < hi && entries[mid].pos <= base + left_len) ++mid;
-    const NtId new_b = splice(b, lo, mid, base);
-    const NtId new_c = splice(c, mid, hi, base + left_len);
-    return a.Pair(new_b, new_c);
+  //
+  // Runs on an explicit stack: a chain grammar is one level per character,
+  // far deeper than a thread's stack. The assembler calls come in post
+  // order — left copy, right copy, then their pair — which fixes the rule
+  // numbering of the spliced grammar. A child whose marker range is empty
+  // is the imported rule and never gets a frame.
+  struct Frame {
+    NtId nt;
+    size_t lo, mid, hi;
+    uint64_t base;
+    bool split;  // children pushed; their copies are due
   };
-
-  const NtId root = splice(slp.root(), 0, entries.size(), 0);
+  std::vector<Frame> stack;
+  std::vector<NtId> done;  // finished copies, innermost last
+  const auto push = [&](NtId nt, size_t lo, size_t hi, uint64_t base) {
+    if (lo == hi) return;
+    stack.push_back({nt, lo, lo, hi, base, false});
+  };
+  push(slp.root(), 0, entries.size(), 0);
+  while (!stack.empty()) {
+    Frame& f = stack.back();
+    if (f.split) {
+      const NtId b = slp.Left(f.nt), c = slp.Right(f.nt);
+      NtId new_c = imported[c];
+      if (f.mid < f.hi) {
+        new_c = done.back();
+        done.pop_back();
+      }
+      NtId new_b = imported[b];
+      if (f.lo < f.mid) {
+        new_b = done.back();
+        done.pop_back();
+      }
+      stack.pop_back();
+      done.push_back(a.Pair(new_b, new_c));
+      continue;
+    }
+    if (slp.IsLeaf(f.nt)) {
+      SLPSPAN_CHECK(f.hi - f.lo == 1 && entries[f.lo].pos == f.base + 1);
+      const NtId mask_leaf = a.Leaf(table->InternMask(entries[f.lo].marks));
+      done.push_back(a.Pair(mask_leaf, imported[f.nt]));
+      stack.pop_back();
+      continue;
+    }
+    const NtId b = slp.Left(f.nt), c = slp.Right(f.nt);
+    const uint64_t left_len = slp.Length(b);
+    size_t mid = f.lo;
+    while (mid < f.hi && entries[mid].pos <= f.base + left_len) ++mid;
+    f.mid = mid;
+    f.split = true;
+    const Frame copy = f;  // push() may reallocate the stack
+    push(c, copy.mid, copy.hi, copy.base + left_len);
+    push(b, copy.lo, copy.mid, copy.base);
+  }
+  const NtId root = entries.empty() ? imported[slp.root()] : done.back();
   return a.Finish(root);
 }
 

@@ -464,11 +464,25 @@ uint64_t EvalTables::MemoryUsage() const {
 
 int32_t EvalTables::NextIntermediate(const Slp& slp, NtId a, StateId i, StateId j,
                                      int32_t after) const {
+  const uint32_t start = static_cast<uint32_t>(after + 1);
+  if (start >= q_) return -1;
+  // Word-wise over row NZ_B[i] = U_B[i] | W_B[i], as ForEachIntermediate;
+  // only the candidates k it yields pay the NZ_C[k,j] test.
   const NtId b = slp.Left(a), c = slp.Right(a);
-  for (uint32_t k = static_cast<uint32_t>(after + 1); k < q_; ++k) {
-    if (NonBot(b, i, k) && NonBot(c, k, j)) return static_cast<int32_t>(k);
+  const uint64_t* ub = U(b).Row(i);
+  const uint64_t* wb = W(b).Row(i);
+  const uint32_t words = U(b).logical_words_per_row();
+  uint32_t w = start >> 6;
+  uint64_t bits = (ub[w] | wb[w]) & (~uint64_t{0} << (start & 63));
+  while (true) {
+    while (bits != 0) {
+      const StateId k = (w << 6) + static_cast<uint32_t>(__builtin_ctzll(bits));
+      bits &= bits - 1;
+      if (NonBot(c, k, j)) return static_cast<int32_t>(k);
+    }
+    if (++w >= words) return -1;
+    bits = ub[w] | wb[w];
   }
-  return -1;
 }
 
 std::vector<StateId> EvalTables::AcceptingNonBot(const Slp& slp, const Nfa& nfa) const {

@@ -7,6 +7,9 @@
 
 #include "gtest/gtest.h"
 #include "core/evaluator.h"
+#include "slpspan/document.h"
+#include "slpspan/engine.h"
+#include "slpspan/query.h"
 #include "slp/factory.h"
 #include "spanner/ref_eval.h"
 #include "test_util.h"
@@ -164,6 +167,120 @@ TEST(Enumerate, GeneratedWorkloadAgainstReference) {
   RefEvaluator ref(*sp);
   const PreparedDocument prep = ev.Prepare(RePairCompress(log));
   ExpectSameTupleSet(ref.ComputeAll(log), Drain(ev, prep));
+}
+
+// ---------------------------------------------------------------------------
+// Enumeration order. The tests above compare sets; these pin the exact
+// sequence Engine::Extract produces — Algorithm 1's order: (k_B, k_C) pairs
+// outermost, then the left subtree, then the right subtree, yields
+// innermost. The expected sequences were recorded from the original
+// recursive-odometer cursor, so a cursor rewrite has to reproduce them.
+// ---------------------------------------------------------------------------
+
+/// "begin-end" or "_" per variable, joined by ','; tuples joined by ' '.
+std::string RenderSequence(const std::vector<SpanTuple>& tuples) {
+  std::string out;
+  for (size_t n = 0; n < tuples.size(); ++n) {
+    if (n > 0) out += ' ';
+    for (VarId v = 0; v < tuples[n].num_vars(); ++v) {
+      if (v > 0) out += ',';
+      const std::optional<Span>& span = tuples[n].Get(v);
+      out += span ? std::to_string(span->begin) + "-" + std::to_string(span->end)
+                  : "_";
+    }
+  }
+  return out;
+}
+
+uint64_t Fnv1a64(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (const unsigned char c : s) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+std::string Figure2Order(SlpKind kind) {
+  // The first 15 tuples (x at [6,11>) and the last 6 (x at [1,4>) come in
+  // tree order, which depends on the grammar's shape.
+  const std::string tail = " _,5-6 _,4-6 _,4-5 3-4,_ 2-4,_ 1-4,_ 2-3,_ 1-3,_ 1-2,_";
+  switch (kind) {
+    case SlpKind::kBalanced:
+    case SlpKind::kBalancedNoDedup:
+      return "10-11,_ 9-11,_ 8-11,_ 7-11,_ 6-11,_ 9-10,_ 8-10,_ 7-10,_ 6-10,_ "
+             "8-9,_ 7-9,_ 6-9,_ 7-8,_ 6-8,_ 6-7,_ _,5-6 _,4-6 _,4-5 3-4,_ "
+             "2-4,_ 2-3,_ 1-4,_ 1-3,_ 1-2,_";
+    case SlpKind::kChain:
+    case SlpKind::kRePair:
+      return "10-11,_ 9-11,_ 8-11,_ 7-11,_ 6-11,_ 9-10,_ 8-10,_ 7-10,_ 6-10,_ "
+             "8-9,_ 7-9,_ 6-9,_ 7-8,_ 6-8,_ 6-7,_" + tail;
+    case SlpKind::kLz78:
+      return "10-11,_ 9-11,_ 8-11,_ 7-11,_ 6-11,_ 9-10,_ 8-10,_ 7-10,_ 8-9,_ "
+             "7-9,_ 7-8,_ 6-10,_ 6-9,_ 6-8,_ 6-7,_" + tail;
+    case SlpKind::kRebalancedLz78:
+      return "10-11,_ 9-11,_ 8-11,_ 7-11,_ 6-11,_ 9-10,_ 8-10,_ 8-9,_ 7-10,_ "
+             "7-9,_ 7-8,_ 6-10,_ 6-9,_ 6-8,_ 6-7,_" + tail;
+  }
+  return "";
+}
+
+TEST(EnumerateOrder, PaperFixturesUnderEverySlpKind) {
+  const Spanner figure2 = MakeFigure2Spanner();
+  for (SlpKind kind : AllSlpKinds()) {
+    for (bool det : {true, false}) {
+      SCOPED_TRACE(std::string(testing_util::SlpKindName(kind)) +
+                   (det ? " determinized" : " as written"));
+      const DocumentPtr doc = Document::FromSlp(MakeSlp(kind, "aabccaabaa"));
+      Result<Query> fig2 = Query::FromAutomaton(figure2.raw(), figure2.vars(),
+                                                {.determinize = det});
+      ASSERT_TRUE(fig2.ok());
+      EXPECT_EQ(RenderSequence(Engine(*fig2, doc).ExtractAll()),
+                Figure2Order(kind));
+      Result<Query> intro =
+          Query::Compile("(b|c)*x{a}.*y{cc*}.*", "abc", {.determinize = det});
+      ASSERT_TRUE(intro.ok());
+      EXPECT_EQ(RenderSequence(Engine(*intro, doc).ExtractAll()),
+                "1-2,5-6 1-2,4-6 1-2,4-5");
+    }
+  }
+}
+
+TEST(EnumerateOrder, GeneratedLog) {
+  std::string alphabet;
+  for (char c = 32; c < 127; ++c) alphabet += c;
+  alphabet += '\n';
+  Result<Query> same_line =
+      Query::Compile(".*user=x{u[0-9]+} action=y{[A-Z]+} .*", alphabet);
+  ASSERT_TRUE(same_line.ok());
+  // x and y in different lines: the trees have inner nodes where both the
+  // left and the right subtree have further trees, so the relative speed
+  // of the two subtree loops shows in the order.
+  Result<Query> cross_line =
+      Query::Compile(".*x{user=u1} .*y{status=500}.*", alphabet);
+  ASSERT_TRUE(cross_line.ok());
+  const std::string log = GenerateLog({.lines = 60});
+  struct Expected {
+    Compression method;
+    uint64_t cross_line_hash;
+  };
+  for (const Expected& e : {Expected{Compression::kRePair, 0xea53237c7034ceb7ull},
+                            Expected{Compression::kLz78, 0x9f6e8c3173fcc1cfull}}) {
+    Result<DocumentPtr> doc = Document::FromText(log, e.method);
+    ASSERT_TRUE(doc.ok());
+    const std::vector<SpanTuple> tuples = Engine(*same_line, *doc).ExtractAll();
+    ASSERT_EQ(tuples.size(), 60u);
+    const std::string order = RenderSequence(tuples);
+    // One tuple per line, last line first.
+    const std::string head =
+        "2509-2511,2519-2522 2467-2469,2477-2480 2425-2427,2435-2438 ";
+    EXPECT_EQ(order.substr(0, head.size()), head);
+    EXPECT_EQ(Fnv1a64(order), 0xc5fda63e2b54bc4aull);
+
+    const std::vector<SpanTuple> pairs = Engine(*cross_line, *doc).ExtractAll();
+    ASSERT_EQ(pairs.size(), 87u);
+    EXPECT_EQ(Fnv1a64(RenderSequence(pairs)), e.cross_line_hash);
+  }
 }
 
 }  // namespace

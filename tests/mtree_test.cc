@@ -57,9 +57,6 @@ TEST(MTreeCursor, EnumeratesDistinctTreesWithinSizeBound) {
   Fixture fx = Fixture::Figure2OnExample42();
   MTreeCursor cursor(&fx.slp, &fx.tables);
   const std::vector<StateId> fprime = fx.tables.AcceptingNonBot(fx.slp, fx.nfa);
-  VariableSet vars;
-  (void)vars.Intern("x");
-  (void)vars.Intern("y");
 
   const uint32_t size_bound = 4 * 2 * fx.num_vars * fx.slp.depth();
   std::set<std::string> seen;
@@ -71,7 +68,7 @@ TEST(MTreeCursor, EnumeratesDistinctTreesWithinSizeBound) {
       do {
         ++total;
         EXPECT_LE(cursor.NumLiveNodes(), size_bound);  // Lemma 8.4
-        EXPECT_TRUE(seen.insert(cursor.DebugString(vars)).second)
+        EXPECT_TRUE(seen.insert(cursor.DebugString()).second)
             << "duplicate tree";
         ASSERT_LT(total, 100000u) << "tree enumeration runaway";
       } while (cursor.Advance());
@@ -138,6 +135,46 @@ TEST(MTreeCursor, Figure4TreeExists) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+TEST(MTreeCursor, MaintainedLeafListMatchesFullWalkOnEveryTree) {
+  // Advance() splices the terminal-leaf list instead of re-walking the tree;
+  // after every step it must equal a from-scratch traversal, and the tree
+  // must stay within the Lemma 8.4 size bound (at most 2|X| terminal leaves,
+  // each under one root path of <= depth(S) inner nodes, each inner node
+  // with two children).
+  const std::string docs[] = {"aabccaabaa", "abccaabccaabccabbacbacabbacc"};
+  const Spanner spanners[] = {MakeFigure2Spanner(), testing_util::MakeIntroSpanner()};
+  std::vector<MTreeCursor::TermLeaf> walked;
+  uint64_t trees = 0;
+  for (const Spanner& sp : spanners) {
+    const Nfa nfa = AppendSentinel(Normalize(sp.raw()));
+    const uint32_t num_vars = sp.num_vars();
+    for (const std::string& doc : docs) {
+      for (testing_util::SlpKind kind : testing_util::AllSlpKinds()) {
+        SCOPED_TRACE(doc + " " + testing_util::SlpKindName(kind));
+        const Slp slp =
+            SlpAppendSymbol(testing_util::MakeSlp(kind, doc), kSentinelSymbol);
+        const EvalTables tables(slp, nfa);
+        MTreeCursor cursor(&slp, &tables);
+        const uint32_t node_bound = 4 * num_vars * slp.depth() + 1;
+        for (StateId j : tables.AcceptingNonBot(slp, nfa)) {
+          for (int32_t k = cursor.FirstK(slp.root(), 0, j); k != kExhaustedK;
+               k = cursor.NextK(slp.root(), 0, j, k)) {
+            cursor.Init(slp.root(), 0, j, k);
+            do {
+              ++trees;
+              cursor.CollectTermLeaves(&walked);
+              ASSERT_TRUE(cursor.term_leaves() == walked) << "tree #" << trees;
+              EXPECT_LE(walked.size(), 2u * num_vars);
+              EXPECT_LE(cursor.NumLiveNodes(), node_bound);
+            } while (cursor.Advance());
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(trees, 100u);
 }
 
 TEST(MTreeCursor, BaseCaseSingletonTree) {

@@ -3,10 +3,13 @@
 // crash the library — they either work correctly or fail with a Status.
 
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "core/evaluator.h"
 #include "slpspan/document.h"
+#include "slpspan/engine.h"
 #include "slpspan/query.h"
 #include "slp/factory.h"
 #include "slp/lz77.h"
@@ -179,6 +182,51 @@ TEST(Robustness, VeryDeepGrammarsDoNotOverflowTheStack) {
   const Slp balanced = Rebalance(chain);
   EXPECT_LE(balanced.depth(), 25u);
   EXPECT_EQ(ev.CountAll(balanced), 29999u);
+}
+
+TEST(Robustness, MillionDeepChainServesEveryQueryPathOnAPlainThread) {
+  // A depth-10^6 chain is far deeper than any thread's stack, so Extract
+  // (tree build), At/Sample (Select) and Matches (splice) must all descend
+  // it iteratively. The server's workers are plain std::threads, whose stack
+  // is no larger than the main thread's.
+  constexpr uint64_t kD = 1000000;
+  std::string text(kD, 'a');
+  text[kD / 2] = 'b';  // 1-based position kD/2 + 1
+  const DocumentPtr doc = Document::FromSlp(SlpChainFromString(text).value());
+  ASSERT_EQ(doc->slp().depth(), kD);
+  const SpanTuple expected = testing_util::Tup({Span{kD / 2 + 1, kD / 2 + 2}});
+  SpanTuple shifted = expected;
+  shifted.Set(0, Span{kD / 2 + 2, kD / 2 + 3});
+
+  std::vector<SpanTuple> extracted;
+  Result<SpanTuple> at = Status::Cancelled("not run");
+  Result<std::vector<SpanTuple>> sample = Status::Cancelled("not run");
+  Result<bool> matches = Status::Cancelled("not run");
+  Result<bool> matches_shifted = Status::Cancelled("not run");
+  std::thread worker([&] {
+    Result<Query> query = Query::Compile(".*x{b}.*", "ab");
+    if (!query.ok()) return;
+    const Engine engine(*query, doc);
+    extracted = engine.ExtractAll({.limit = 10});
+    at = engine.At(0);
+    sample = engine.Sample(2);
+    matches = engine.Matches(expected);
+    matches_shifted = engine.Matches(shifted);
+  });
+  worker.join();
+
+  ASSERT_EQ(extracted.size(), 1u);
+  EXPECT_TRUE(extracted[0] == expected);
+  ASSERT_TRUE(at.ok());
+  EXPECT_TRUE(*at == expected);
+  ASSERT_TRUE(sample.ok());
+  ASSERT_EQ(sample->size(), 2u);
+  EXPECT_TRUE((*sample)[0] == expected);
+  EXPECT_TRUE((*sample)[1] == expected);
+  ASSERT_TRUE(matches.ok());
+  EXPECT_TRUE(*matches);
+  ASSERT_TRUE(matches_shifted.ok());
+  EXPECT_FALSE(*matches_shifted);
 }
 
 TEST(Robustness, PathologicalAlternationFanout) {
